@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot components —
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
-// partitioning, GMM background subtraction, the event queue, and the latency
-// estimator lookup.
+// partitioning, GMM background subtraction, blob extraction, a whole live
+// edge frame, the event queue, and the latency estimator lookup.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 
 #include "common/alloc_probe.h"
 #include "common/rng.h"
+#include "core/edge.h"
 #include "core/estimator.h"
 #include "core/free_rect_index.h"
 #include "core/invoker.h"
@@ -22,6 +23,7 @@
 #include "sim/simulator.h"
 #include "video/raster.h"
 #include "video/scene_catalog.h"
+#include "vision/components.h"
 #include "vision/gmm.h"
 
 // Global allocation tally for BM_DispatchPath's allocs_per_patch counter
@@ -144,6 +146,62 @@ void BM_GmmApply(benchmark::State& state) {
                           raster_config.analysis.area());
 }
 BENCHMARK(BM_GmmApply)->Arg(320)->Arg(480)->Arg(960);
+
+// Frames a PANDA camera renders and trains its GMM on before its masks are
+// representative (the scenes' training prefix).
+constexpr int kGmmTrainingFrames = 100;
+
+// Dilate, label and merge boxes on real GMM masks: PANDA scene `range(0)`
+// at the default 480x270 analysis resolution, after training.
+void BM_ExtractBlobs(benchmark::State& state) {
+  const auto spec = video::panda4k_scene(static_cast<int>(state.range(0)));
+  video::SyntheticScene scene(spec);
+  video::FrameRasterizer rasterizer(spec.frame, video::RasterConfig{});
+  vision::GmmBackgroundSubtractor gmm(rasterizer.analysis_size());
+  std::vector<video::Mask> masks;
+  for (int f = 0; f < kGmmTrainingFrames + 16; ++f) {
+    video::Mask mask = gmm.apply(rasterizer.render(scene.next_frame()));
+    if (f >= kGmmTrainingFrames) masks.push_back(std::move(mask));
+  }
+  const vision::ComponentParams params;
+  std::size_t boxes = 0;
+  for (const auto& mask : masks)
+    boxes += vision::extract_blobs(mask, params).size();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto blobs = vision::extract_blobs(masks[i % masks.size()], params);
+    benchmark::DoNotOptimize(blobs.data());
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["boxes_per_mask"] =
+      static_cast<double>(boxes) / static_cast<double>(masks.size());
+}
+BENCHMARK(BM_ExtractBlobs)->Arg(1)->Arg(5)->Arg(10);
+
+// One live edge frame: render plus EdgeCamera::on_frame (GMM, blob
+// extraction, partitioning, patch encoding) on a trained PANDA camera.
+// Scene generation runs untimed.
+void BM_EdgeOnFrame(benchmark::State& state) {
+  const auto spec = video::panda4k_scene(static_cast<int>(state.range(0)));
+  video::SyntheticScene scene(spec);
+  core::EdgeCamera camera(spec.frame, core::EdgeCamera::Config{});
+  for (int f = 0; f < kGmmTrainingFrames; ++f)
+    (void)camera.on_frame(scene.next_frame());
+  for (auto _ : state) {
+    state.PauseTiming();
+    const video::FrameTruth truth = scene.next_frame();
+    state.ResumeTiming();
+    const auto patches = camera.on_frame(truth);
+    benchmark::DoNotOptimize(patches.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EdgeOnFrame)
+    ->Arg(1)
+    ->Arg(5)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "video/raster.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace tangram::video {
@@ -53,8 +54,7 @@ common::Rect FrameRasterizer::to_analysis(const common::Rect& r) const {
   return common::scale_rect(r, sx_, sy_);
 }
 
-std::uint8_t FrameRasterizer::object_shade(int object_id, int px, int py,
-                                           std::uint8_t background) const {
+double FrameRasterizer::object_offset(int object_id) const {
   // Contrast sign and magnitude are deterministic per object.
   const double pick = hash01(static_cast<std::uint64_t>(object_id), 17, 29);
   const double contrast =
@@ -62,14 +62,7 @@ std::uint8_t FrameRasterizer::object_shade(int object_id, int px, int py,
       (config_.max_contrast - config_.min_contrast) *
           hash01(static_cast<std::uint64_t>(object_id), 41, 53);
   const double sign = pick < 0.5 ? -1.0 : 1.0;
-  // Coarse texture: 2x2-pixel blocks of deterministic variation.
-  const double tex =
-      18.0 * (hash01(static_cast<std::uint64_t>(object_id),
-                     static_cast<std::uint64_t>(px / 2),
-                     static_cast<std::uint64_t>(py / 2)) -
-              0.5);
-  const double val = background + sign * contrast + tex;
-  return static_cast<std::uint8_t>(std::clamp(val, 5.0, 250.0));
+  return sign * contrast;
 }
 
 Image FrameRasterizer::render(const FrameTruth& truth) {
@@ -78,8 +71,9 @@ Image FrameRasterizer::render(const FrameTruth& truth) {
   // Slow illumination drift + per-frame sensor noise.  Uniform noise with a
   // matched standard deviation (width = sigma * sqrt(12)) instead of a
   // Gaussian: the GMM only cares about second moments and a uniform draw is
-  // one RNG call instead of a Box-Muller pair — this loop dominates trace
-  // generation time.
+  // one RNG call instead of a Box-Muller pair.  One draw per pixel makes
+  // this loop most of a frame's render time, though rendering is a small
+  // share of trace generation next to background subtraction.
   const double drift =
       config_.illum_drift *
       std::sin(2 * 3.14159265 * truth.timestamp / config_.illum_period_s);
@@ -92,13 +86,26 @@ Image FrameRasterizer::render(const FrameTruth& truth) {
     px[i] = static_cast<std::uint8_t>(std::clamp(noisy, 0.0, 255.0));
   }
 
-  // Paint objects (native boxes scaled down to analysis space).
+  // Paint objects (native boxes scaled down to analysis space) as textured
+  // rectangles offset from the background.
+  const auto stride = static_cast<std::size_t>(frame.width());
   for (const auto& obj : truth.objects) {
     const common::Rect r = common::clamp_to(
         to_analysis(obj.box), common::Rect{0, 0, frame.width(), frame.height()});
-    for (int y = r.top(); y < r.bottom(); ++y)
-      for (int x = r.left(); x < r.right(); ++x)
-        frame.at(x, y) = object_shade(obj.id, x, y, background_.at(x, y));
+    const auto id = static_cast<std::uint64_t>(obj.id);
+    const double offset = object_offset(obj.id);
+    for (int y = r.top(); y < r.bottom(); ++y) {
+      const std::uint8_t* const base = background_.data() + y * stride;
+      std::uint8_t* const row = frame.data() + y * stride;
+      const auto cell_y = static_cast<std::uint64_t>(y / 2);
+      for (int x = r.left(); x < r.right(); ++x) {
+        // Coarse texture: 2x2-pixel blocks of deterministic variation.
+        const auto cell_x = static_cast<std::uint64_t>(x / 2);
+        const double tex = 18.0 * (hash01(id, cell_x, cell_y) - 0.5);
+        const double val = base[x] + offset + tex;
+        row[x] = static_cast<std::uint8_t>(std::clamp(val, 5.0, 250.0));
+      }
+    }
   }
   return frame;
 }

@@ -61,8 +61,8 @@ class FrameRasterizer {
   [[nodiscard]] common::Rect to_analysis(const common::Rect& native_rect) const;
 
  private:
-  [[nodiscard]] std::uint8_t object_shade(int object_id, int px, int py,
-                                          std::uint8_t background) const;
+  // Signed intensity offset of an object from the background under it.
+  [[nodiscard]] double object_offset(int object_id) const;
 
   common::Size native_;
   RasterConfig config_;

@@ -48,8 +48,9 @@ class GmmBackgroundSubtractor {
     float variance;
   };
 
-  // Classify + update a single pixel; returns true if foreground.
-  bool process_pixel(std::size_t px, double value);
+  // Classify + update every pixel of `src` into `dst`, K components each.
+  template <int K>
+  void update(const std::uint8_t* src, std::uint8_t* dst);
 
   common::Size size_;
   GmmParams params_;

@@ -27,6 +27,7 @@
 #include "core/estimator.h"
 #include "core/invoker.h"
 #include "experiments/harness.h"
+#include "golden.h"
 #include "serverless/platform.h"
 #include "sim/simulator.h"
 #include "video/scene_catalog.h"
@@ -163,14 +164,7 @@ TEST(DispatchAlloc, RecycledStorageIsActuallyReused) {
 
 // --- suite 2: byte-identity of the recycled-batch path -----------------------
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using golden::fnv1a;
 
 // Captured on the pre-recycling tree: 16 streams of scene 47 (mixed 0.25s /
 // 2s SLOs) on 8 instances with a reserved tight-class pool, hashed over

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "experiments/harness.h"
+#include "golden.h"
 #include "serverless/forecast.h"
 #include "serverless/platform.h"
 #include "sim/simulator.h"
@@ -31,14 +32,7 @@
 namespace tangram::experiments {
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using golden::fnv1a;
 
 // The PR-7 goldens (tests/test_dispatch_alloc.cpp): 16 streams of scene 47
 // (mixed 0.25s / 2s SLOs) on 8 instances with a reserved tight-class pool.

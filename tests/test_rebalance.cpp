@@ -15,6 +15,7 @@
 
 #include "core/system.h"
 #include "experiments/harness.h"
+#include "golden.h"
 
 namespace tangram::core {
 namespace {
@@ -292,14 +293,7 @@ TEST(Rebalance, DeregisterDropsPendingAndRejectsLaterPatches) {
 namespace tangram::experiments {
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using golden::fnv1a;
 
 class RebalanceRegression : public ::testing::Test {
  protected:

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "golden.h"
+
 namespace tangram::experiments {
 namespace {
 
@@ -98,6 +103,57 @@ TEST(Trace, FinerPartitionsSmallerPatchArea) {
     fine_area += b.eval_frame(i).patch_area_fraction;
   }
   EXPECT_LE(fine_area, coarse_area * 1.05);
+}
+
+// Everything the edge pipeline decides per frame -- RoIs, patches and patch
+// bytes -- as text, so drift anywhere in rasterization, background
+// subtraction, blob extraction or partitioning changes the hash.
+std::string edge_output(const SceneTrace& trace) {
+  std::string out;
+  const auto put_rect = [&out](const common::Rect& r) {
+    out += std::to_string(r.x) + ',' + std::to_string(r.y) + ',' +
+           std::to_string(r.width) + ',' + std::to_string(r.height) + ' ';
+  };
+  for (const auto& f : trace.frames) {
+    out += "frame " + std::to_string(f.frame_index) + "\nrois ";
+    for (const auto& r : f.rois) put_rect(r);
+    out += "\npatches ";
+    for (const auto& p : f.patches) put_rect(p);
+    out += "\nbytes ";
+    for (const auto b : f.patch_bytes) out += std::to_string(b) + ' ';
+    out += '\n';
+  }
+  return out;
+}
+
+// Captured before the frame-level GMM kernel and the label-free blob
+// extraction replaced the per-pixel code: the edge pipeline's output on a
+// test scene, through both pixel extractors (OpticalFlow labels with a
+// larger dilation radius).
+TEST(Trace, EdgePipelineGolden) {
+  struct Case {
+    const char* extractor;
+    common::Size analysis;
+    std::uint64_t golden;
+  };
+  const Case cases[] = {
+      {"GMM", {480, 270}, 0x604c71bbbb02ad61ull},
+      {"GMM", {240, 135}, 0x685e07de7d18a06dull},
+      {"OpticalFlow", {480, 270}, 0x0a65f99a12e103bbull},
+  };
+  for (const auto& c : cases) {
+    TraceConfig config;
+    config.extractor = c.extractor;
+    config.raster.analysis = c.analysis;
+    const auto trace = build_trace(video::test_scene(29), config);
+    std::size_t rois = 0;
+    for (const auto& f : trace.frames) rois += f.rois.size();
+    EXPECT_GT(rois, trace.frames.size()) << c.extractor;
+    const std::uint64_t hash = golden::fnv1a(edge_output(trace));
+    EXPECT_EQ(hash, c.golden) << c.extractor << ' ' << c.analysis.width << 'x'
+                              << c.analysis.height << std::hex << " got 0x"
+                              << hash;
+  }
 }
 
 }  // namespace
