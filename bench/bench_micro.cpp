@@ -2,7 +2,8 @@
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
 // partitioning, GMM background subtraction, blob extraction, a whole live
-// edge frame, the event queue, and the latency estimator lookup.
+// edge frame, the event queue, the latency estimator lookup, and the
+// serverless platform's backlog drain.
 
 #include <benchmark/benchmark.h>
 
@@ -286,6 +287,29 @@ void BM_EstimatorSlack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstimatorSlack);
+
+// A burst the platform absorbs: `range(0)` requests queue at t = 0 on a
+// one-instance fleet, then drain one completion at a time.  Each completion
+// dispatches the next request from its pool's queue head, so the time per
+// completion (items = completions) stays flat as the backlog deepens.
+void BM_BacklogDrain(benchmark::State& state) {
+  const int requests = static_cast<int>(state.range(0));
+  serverless::PlatformConfig config;
+  config.max_instances = 1;
+  serverless::LatencyModelParams latency;
+  latency.jitter_sigma = 0.0;
+  serverless::RequestSpec spec;
+  spec.num_canvases = 1;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    serverless::FunctionPlatform platform(sim, config, latency);
+    for (int i = 0; i < requests; ++i) platform.invoke(spec, {});
+    sim.run();
+    benchmark::DoNotOptimize(platform.invocations());
+  }
+  state.SetItemsProcessed(state.iterations() * requests);
+}
+BENCHMARK(BM_BacklogDrain)->Arg(1024)->Arg(16384)->Arg(65536);
 
 // The full dispatch hot path, end to end: patch arrival -> Algorithm 2
 // admission -> deadline-timer flush -> platform invoke -> completion event.

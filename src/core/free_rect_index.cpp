@@ -246,8 +246,16 @@ TANGRAM_HOT_PATH void FreeRectIndex::clear() {
   // few sessions the place() loop runs entirely on recycled capacity.
   while (!canvases_.empty()) retire_canvas();
   journal_.clear();
-  for (auto& bucket : buckets_) bucket.clear();
-  std::fill(bucket_bits_.begin(), bucket_bits_.end(), 0);
+  // Only buckets whose bit is set hold entries (bucket_add/bucket_remove
+  // keep bit set <=> bucket non-empty), so a session that touched a handful
+  // of short sides resets a handful of buckets, not every possible short
+  // side (1025 of them on a 1024-px canvas).
+  for (std::size_t word = 0; word < bucket_bits_.size(); ++word) {
+    for (std::uint64_t bits = bucket_bits_[word]; bits != 0; bits &= bits - 1)
+      buckets_[word * 64 + static_cast<std::size_t>(std::countr_zero(bits))]
+          .clear();
+    bucket_bits_[word] = 0;
+  }
   total_rects_ = 0;
   // next_id_ / next_rect_id_ keep counting so pre-clear marks stay
   // detectably stale.

@@ -150,7 +150,9 @@ class BatchPool {
   // bloats the heap long after the burst drains (and drags down cache
   // locality for everything else).  Steady-state dispatch keeps far fewer
   // batches in flight than these bounds, so the zero-allocation property is
-  // unaffected; beyond them, recycle() lets storage free normally.
+  // unaffected; beyond them, recycle() lets storage free normally.  The
+  // trade, measured on the flash_crowd benchmark (seed 1): lifting both caps
+  // cuts allocs/patch 0.445 -> 0.066 but raises peak RSS 29.5 -> 38.7 MiB.
   static constexpr std::size_t kMaxPooledShells = 128;
   static constexpr std::size_t kMaxPooledCanvases = 512;
 

@@ -147,12 +147,15 @@ int FunctionPlatform::pool_headroom(int pool) const {
   // Guaranteed lane: slack below the pool's own reservation.  Unreserved
   // lane: fleet slots not in use and not owed to any pool's reservation
   // (including this pool's own unmet share, which the guaranteed term
-  // already counts).
+  // already counts).  Both are capped by the slots actually free: a pool
+  // defined while earlier work saturates the fleet is owed its reservation
+  // but gets it only as that work drains (reservations never pre-empt).
   const int guaranteed = std::max(0, p.reserved - p.in_use);
   const int unreserved_free =
       config_.max_instances - total_in_use_ - guaranteed -
       unmet_reservations_excluding(pool);
-  const int physical = guaranteed + std::max(0, unreserved_free);
+  const int physical = std::min(config_.max_instances - total_in_use_,
+                                guaranteed + std::max(0, unreserved_free));
   return std::max(0, std::min(p.limit - p.in_use, physical));
 }
 
@@ -167,7 +170,7 @@ PoolTelemetry FunctionPlatform::pool_telemetry(int pool) const {
   t.peak_in_use = p.peak_in_use;
   t.dispatched = p.dispatched;
   t.cold_starts = p.cold_starts;
-  t.backlogged = p.backlogged;
+  t.backlogged = p.queue.size();
   t.backlog_depth = p.backlog_depth;
   t.series = p.series;
   t.demand_history = p.demand_history;
@@ -267,14 +270,15 @@ TANGRAM_HOT_PATH void FunctionPlatform::invoke_on_pool(const RequestSpec& spec,
   Pending pending{spec, std::move(on_complete), sim_.now(), pool};
   Pool& p = pools_[static_cast<std::size_t>(pool)];
   // FIFO: a new arrival never jumps ahead of its pool's waiting requests.
-  // The backlogged check matters at completion timestamps — an arrival
+  // The queue check matters at completion timestamps — an arrival
   // sequenced before the completion's drain callback would otherwise see
   // the freed instance and dispatch past the backlog head.
-  if (p.backlogged > 0 || !pool_has_capacity(pool)) {
-    ++p.backlogged;
-    p.backlog_depth.add(static_cast<double>(p.backlogged));
-    // reserve: backlog keeps its high-water capacity across drains
-    backlog_.push_back(std::move(pending));
+  if (!p.queue.empty() || !pool_has_capacity(pool)) {
+    pending.seq = next_seq_++;
+    // reserve: the pool's ring keeps its high-water capacity across drains
+    p.queue.push_back(std::move(pending));
+    ++queued_;
+    p.backlog_depth.add(static_cast<double>(p.queue.size()));
     note_demand_peak(p);
     return;
   }
@@ -285,7 +289,7 @@ TANGRAM_HOT_PATH void FunctionPlatform::invoke_on_pool(const RequestSpec& spec,
 void FunctionPlatform::note_demand_peak(Pool& pool) {
   if (!config_.autoscale.forecasting()) return;
   const double demand = static_cast<double>(pool.in_use - pool.prewarming) +
-                        static_cast<double>(pool.backlogged);
+                        static_cast<double>(pool.queue.size());
   pool.demand_peak = std::max(pool.demand_peak, demand);
 }
 
@@ -319,26 +323,48 @@ TANGRAM_HOT_PATH void FunctionPlatform::dispatch(Pending pending) {
                     std::move(pending), /*cold=*/true);
 }
 
+void FunctionPlatform::PendingRing::push_back(Pending&& pending) {
+  if (size_ == slots_.size()) {
+    // Full: double the storage, unrolling the ring so the head lands at 0.
+    std::vector<Pending> grown(std::max<std::size_t>(8, 2 * slots_.size()));
+    for (std::size_t i = 0; i < size_; ++i)
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(pending);
+  ++size_;
+}
+
 TANGRAM_HOT_PATH void FunctionPlatform::drain_backlog() {
-  if (backlog_.empty()) return;
-  // Strict FIFO within each pool: once a pool's head entry cannot start,
-  // every later entry of that pool stays queued this round; other pools'
-  // entries keep draining past it.
+  if (queued_ == 0) return;
+  // One pass over the backlog in arrival order, visiting only pool heads:
+  // the next entry is the earliest-arrived head among pools not yet
+  // blocked.  It starts if its pool has capacity; otherwise its pool is
+  // blocked for the rest of the pass, so every later entry of that pool
+  // stays queued (strict FIFO within a pool) while other pools keep
+  // draining past it.  Dispatching only consumes capacity, so a blocked
+  // pool could not start anything later in the pass anyway.
   drain_scratch_.assign(pools_.size(), 0);
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < backlog_.size(); ++read) {
-    Pending& entry = backlog_[read];
-    const auto pool = static_cast<std::size_t>(entry.pool);
-    if (drain_scratch_[pool] == 0 && pool_has_capacity(entry.pool)) {
-      --pools_[pool].backlogged;
-      dispatch(std::move(entry));
+  for (;;) {
+    std::size_t next = pools_.size();
+    std::uint64_t next_seq = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
+      const PendingRing& queue = pools_[i].queue;
+      if (drain_scratch_[i] == 0 && !queue.empty() &&
+          queue.front().seq < next_seq) {
+        next = i;
+        next_seq = queue.front().seq;
+      }
+    }
+    if (next == pools_.size()) return;
+    if (!pool_has_capacity(static_cast<int>(next))) {
+      drain_scratch_[next] = 1;
       continue;
     }
-    drain_scratch_[pool] = 1;
-    if (write != read) backlog_[write] = std::move(entry);
-    ++write;
+    --queued_;
+    dispatch(pools_[next].queue.pop_front());
   }
-  backlog_.resize(write);
 }
 
 TANGRAM_HOT_PATH void FunctionPlatform::start_on_instance(int instance,
@@ -471,7 +497,7 @@ int FunctionPlatform::autoscale_decision(const Pool& pool) const {
       const double utilization = static_cast<double>(pool.in_use) /
                                  static_cast<double>(std::max(1, limit));
       if (utilization >= policy.scale_up_utilization ||
-          pool.backlogged > 0) {
+          !pool.queue.empty()) {
         limit += policy.step;
       } else if (utilization <= policy.scale_down_utilization) {
         limit -= policy.step;
@@ -479,9 +505,9 @@ int FunctionPlatform::autoscale_decision(const Pool& pool) const {
       break;
     }
     case AutoscalePolicy::Kind::kQueuePressure: {
-      if (pool.backlogged >= policy.backlog_scale_up) {
+      if (pool.queue.size() >= policy.backlog_scale_up) {
         limit += policy.step;
-      } else if (pool.backlogged == 0 && pool.in_use < limit) {
+      } else if (pool.queue.empty() && pool.in_use < limit) {
         limit -= policy.step;
       }
       break;
@@ -507,7 +533,7 @@ double FunctionPlatform::observe_and_forecast(Pool& pool) {
   // into itself.
   const double now_demand =
       static_cast<double>(pool.in_use - pool.prewarming) +
-      static_cast<double>(pool.backlogged);
+      static_cast<double>(pool.queue.size());
   const double demand = std::max(pool.demand_peak, now_demand);
   pool.demand_peak = now_demand;  // the level carries into the next span
   pool.demand_history.push_back(demand);
@@ -641,11 +667,11 @@ void FunctionPlatform::autoscale_tick() {
     limits_moved |= next != pool.limit;
     pool.limit = next;
     pool.series.push_back(AutoscaleSample{sim_.now(), pool.in_use, pool.limit,
-                                          pool.backlogged,
+                                          pool.queue.size(),
                                           pool.cold_starts});
   }
   // Raised limits may unblock waiting requests.
-  const std::size_t backlog_before = backlog_.size();
+  const std::size_t backlog_before = queued_;
   drain_backlog();
   // Pre-warm AFTER the drain: booting borrows pool concurrency, and queued
   // work must never wait a setup period behind a boot it could have
@@ -676,9 +702,8 @@ void FunctionPlatform::autoscale_tick() {
       predicts_demand |=
           !pool.forecast_history.empty() &&
           static_cast<int>(std::ceil(pool.forecast_history.back() - 1e-9)) > 0;
-  const bool progressed = limits_moved || backlog_.size() != backlog_before;
-  if (total_in_use_ > 0 || predicts_demand ||
-      (!backlog_.empty() && progressed))
+  const bool progressed = limits_moved || queued_ != backlog_before;
+  if (total_in_use_ > 0 || predicts_demand || (queued_ > 0 && progressed))
     autoscale_timer_ =
         sim_.schedule_in(config_.autoscale.interval_s, [this] {
           autoscale_tick();

@@ -37,6 +37,8 @@
 //    waiting requests.
 //  * The backlog drains strictly FIFO within each pool; a pool blocked at
 //    the head of the queue never blocks another pool's older requests.
+//    Across pools, requests start in arrival order: every drain dispatches
+//    the earliest-arrived waiting request whose pool is not yet blocked.
 //
 // Billing conventions: `execution_s` is billed GPU time only — cold-start
 // `setup_s` seconds (and cold-spike inflation) delay `start_time` but are
@@ -57,9 +59,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -405,7 +407,7 @@ class FunctionPlatform {
   [[nodiscard]] const common::Sampler& cold_start_setup() const {
     return cold_start_setup_;
   }
-  [[nodiscard]] std::size_t queued_requests() const { return backlog_.size(); }
+  [[nodiscard]] std::size_t queued_requests() const { return queued_; }
   [[nodiscard]] const common::Sampler& execution_latency() const {
     return execution_latency_;
   }
@@ -425,8 +427,31 @@ class FunctionPlatform {
   struct Pending {
     RequestSpec spec;
     Callback callback;
-    double submit_time;
-    int pool;
+    double submit_time = 0.0;
+    int pool = 0;
+    std::uint64_t seq = 0;  // arrival order across every pool's queue
+  };
+  // One pool's waiting requests in FIFO order, on ring storage that keeps
+  // its high-water capacity: once the deepest backlog of a run has been
+  // seen, queueing and draining never allocate.  Dequeued slots are
+  // moved-from, so they hold no callback state.
+  class PendingRing {
+   public:
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] const Pending& front() const { return slots_[head_]; }
+    void push_back(Pending&& pending);
+    [[nodiscard]] Pending pop_front() {
+      Pending pending = std::move(slots_[head_]);
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+      return pending;
+    }
+
+   private:
+    std::vector<Pending> slots_;  // empty or a power-of-two length
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
   struct Pool {
     std::string name;
@@ -438,14 +463,14 @@ class FunctionPlatform {
     int peak_in_use = 0;
     std::uint64_t dispatched = 0;
     std::uint64_t cold_starts = 0;
-    std::size_t backlogged = 0;  // entries of this pool inside backlog_
+    PendingRing queue;  // this pool's backlog
     common::Sampler backlog_depth;
     std::vector<AutoscaleSample> series;
     // Forecast-driven provisioning state (forecast kinds only).
     int prewarming = 0;  // instances booting ahead of demand right now
     std::uint64_t prewarm_boots = 0;
     double prewarm_cost = 0.0;
-    // High-watermark of (in_use - prewarming) + backlogged since the last
+    // High-watermark of (in_use - prewarming) + queue length since the last
     // observation, maintained at arrivals: sampling demand only at tick
     // instants aliases away bursts shorter than the tick interval, and the
     // resulting under-forecast throttles the limit, which suppresses the
@@ -467,7 +492,7 @@ class FunctionPlatform {
 
   void invoke_on_pool(const RequestSpec& spec, int pool, Callback on_complete);
   // True if a request for `pool` could start immediately.  Ignores the
-  // backlog: callers must keep FIFO by checking pool.backlogged first.
+  // backlog: callers must keep FIFO by checking the pool's queue first.
   [[nodiscard]] bool pool_has_capacity(int pool) const {
     return pool_headroom(pool) > 0;
   }
@@ -483,8 +508,10 @@ class FunctionPlatform {
   // drain the backlog.  The slot is released before the callback so
   // re-entrant invokes reuse it.
   void finish_invocation(std::uint32_t slot);
-  // Dispatch backlogged requests, strictly FIFO within each pool; a pool
-  // without capacity never blocks another pool's entries.
+  // Dispatch backlogged requests in arrival order, strictly FIFO within each
+  // pool; a pool without capacity never blocks another pool's entries.
+  // Costs O(pools) per dispatch and per blocked pool, independent of the
+  // backlog's depth.
   void drain_backlog();
   int find_idle_warm_instance();
   int find_cooled_slot() const;
@@ -517,7 +544,9 @@ class FunctionPlatform {
   common::Rng fault_rng_;
   std::vector<Instance> instances_;
   std::vector<Pool> pools_;  // pools_[0] is the default pool
-  std::deque<Pending> backlog_;
+  // Requests waiting across every pool, and the next Pending::seq to stamp.
+  std::size_t queued_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::vector<char> drain_scratch_;  // per-pool blocked flags during drain
   std::vector<Completion> completions_;        // slot pool (see Completion)
   std::vector<std::uint32_t> completion_free_;

@@ -156,6 +156,35 @@ TEST(CapacityPool, ReservationHoldsInstancesBackFromOtherPools) {
   EXPECT_EQ(tele[0].dispatched, 4u);
 }
 
+TEST(CapacityPool, ReservationDefinedOnSaturatedFleetWaitsForAFreeSlot) {
+  sim::Simulator sim;
+  PlatformConfig config = base_config();
+  config.max_instances = 2;
+  FunctionPlatform platform(sim, config, deterministic_latency());
+
+  InvocationRecord d1, d2, d3, late;
+  sim.schedule_at(0.0, [&] {
+    platform.invoke(canvases(3), [&](const InvocationRecord& r) { d1 = r; });
+    platform.invoke(canvases(1), [&](const InvocationRecord& r) { d2 = r; });
+    platform.invoke(canvases(1), [&](const InvocationRecord& r) { d3 = r; });
+  });
+  sim.schedule_at(0.1, [&] {
+    // Both instances are busy: the new reservation is owed, not free.
+    const int pool = platform.define_pool({"late", 1, 1});
+    EXPECT_EQ(platform.pool_headroom(pool), 0);
+    platform.invoke(canvases(1), pool,
+                    [&](const InvocationRecord& r) { late = r; });
+    EXPECT_EQ(platform.queued_requests(), 2u);
+  });
+  sim.run();
+  // The first freed slot goes to the reservation, ahead of the older
+  // default-pool request; that one starts when the next slot frees.
+  ASSERT_LT(d2.finish_time, d1.finish_time);
+  EXPECT_NEAR(late.start_time, d2.finish_time, 1e-12);
+  EXPECT_NEAR(d3.start_time, d1.finish_time, 1e-12);
+  EXPECT_EQ(platform.queued_requests(), 0u);
+}
+
 TEST(CapacityPool, BurstLimitCapsPoolEvenWhenFleetIsIdle) {
   sim::Simulator sim;
   PlatformConfig config = base_config();
