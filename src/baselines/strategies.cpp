@@ -1,7 +1,6 @@
 #include "baselines/strategies.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace tangram::baselines {
@@ -13,70 +12,6 @@ void Strategy::on_patch(const core::Patch&) {
 void Strategy::on_frame(const FrameWork&) {
   throw std::logic_error(name() + " does not accept frame-level work");
 }
-
-// --- Tangram -----------------------------------------------------------------
-
-TangramStrategy::TangramStrategy(sim::Simulator& simulator,
-                                 serverless::FunctionPlatform& platform,
-                                 TangramOptions options,
-                                 PatchCompletionFn on_done)
-    : platform_(platform),
-      options_(options),
-      on_done_(std::move(on_done)) {
-  // Same fail-fast contract as TangramSystem: an unschedulable GPU config
-  // (model + one canvas over VRAM) is a construction error, not a
-  // mid-simulation throw from FunctionPlatform::invoke.
-  const int max_batch = platform.max_canvases_per_batch(options_.canvas);
-  if (max_batch < 1)
-    throw std::invalid_argument(
-        "TangramStrategy: model plus one canvas exceeds the function's GPU "
-        "memory; shrink the canvas or provision more VRAM");
-
-  core::LatencyEstimator::Config est_config;
-  est_config.max_profiled_batch =
-      max_batch == std::numeric_limits<int>::max()
-          ? est_config.max_profiled_batch
-          : max_batch;
-  est_config.sigma_multiplier = options_.slack_sigma_multiplier;
-  estimator_ = std::make_unique<core::LatencyEstimator>(
-      platform.latency_model(), options_.canvas, est_config);
-
-  core::InvokerConfig inv_config;
-  inv_config.canvas = options_.canvas;
-  inv_config.max_canvases = max_batch;
-
-  invoker_ = std::make_unique<core::SloAwareInvoker>(
-      simulator, core::StitchSolver(options_.heuristic), *estimator_,
-      inv_config, [this](core::Batch&& batch) {
-        serverless::RequestSpec spec;
-        spec.num_canvases = batch.canvas_count();
-        spec.canvas = options_.canvas;
-        spec.num_items = batch.total_patches;
-        platform_.invoke(
-            spec, [this, batch = std::move(batch)](
-                      const serverless::InvocationRecord& record) {
-              if (!on_done_) return;
-              for (const auto& canvas : batch.canvases)
-                for (const auto& patch : canvas.patches)
-                  on_done_(patch, record);
-            });
-      });
-}
-
-void TangramStrategy::on_patch(const core::Patch& patch) {
-  // Oversized patches (minimum-enclosing rectangles can outgrow a zone) are
-  // tiled down to canvas size at the scheduler boundary, conserving bytes;
-  // fitting patches skip the split entirely.
-  if (patch.region.width > options_.canvas.width ||
-      patch.region.height > options_.canvas.height) {
-    for (core::Patch& sub : core::split_patch(patch, options_.canvas))
-      invoker_->on_patch(std::move(sub));
-    return;
-  }
-  invoker_->on_patch(patch);
-}
-
-void TangramStrategy::flush() { invoker_->flush(); }
 
 // --- Full / Masked frame --------------------------------------------------------
 

@@ -68,9 +68,6 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   const auto link_of = [&](std::size_t cam) -> net::Link& {
     return *links[config.dedicated_uplinks ? cam : 0];
   };
-  serverless::FunctionPlatform platform(sim, config.platform, config.latency,
-                                        config.seed);
-
   RunResult result;
   result.strategy = to_string(kind);
 
@@ -89,42 +86,60 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
     if (record.finish_time > frame.deadline() + 1e-9) ++result.violations;
   };
 
+  // Tangram is the TangramSystem facade on one shard, fed through the
+  // legacy single-stream entry so every patch keeps its camera's SLO; the
+  // baselines invoke a bare platform.  Telemetry comes from whichever
+  // platform ran.
+  std::unique_ptr<core::TangramSystem> tangram;
+  std::unique_ptr<serverless::FunctionPlatform> bare;
   std::unique_ptr<baselines::Strategy> strategy;
-  baselines::TangramStrategy* tangram = nullptr;
+  if (kind != StrategyKind::kTangram)
+    bare = std::make_unique<serverless::FunctionPlatform>(
+        sim, config.platform, config.latency, config.seed);
   switch (kind) {
     case StrategyKind::kTangram: {
-      baselines::TangramOptions options;
-      options.canvas = config.canvas;
-      options.slack_sigma_multiplier = config.slack_sigma;
-      options.heuristic = config.heuristic;
-      auto t = std::make_unique<baselines::TangramStrategy>(
-          sim, platform, options, on_patch_done);
-      tangram = t.get();
-      strategy = std::move(t);
+      core::TangramSystem::Config system_config;
+      system_config.canvas = config.canvas;
+      system_config.slack_sigma = config.slack_sigma;
+      system_config.heuristic = config.heuristic;
+      system_config.platform = config.platform;
+      system_config.function_latency = config.latency;
+      system_config.sharding = core::ShardPolicy::single();
+      system_config.seed = config.seed;
+      tangram = std::make_unique<core::TangramSystem>(
+          sim, std::move(system_config), on_patch_done);
       break;
     }
     case StrategyKind::kFullFrame:
       strategy =
-          std::make_unique<baselines::FullFrameStrategy>(platform,
-                                                         on_frame_done);
+          std::make_unique<baselines::FullFrameStrategy>(*bare, on_frame_done);
       break;
     case StrategyKind::kMaskedFrame:
       strategy = std::make_unique<baselines::MaskedFrameStrategy>(
-          platform, on_frame_done);
+          *bare, on_frame_done);
       break;
     case StrategyKind::kElf:
-      strategy = std::make_unique<baselines::ElfStrategy>(
-          platform, config.elf, on_patch_done);
+      strategy = std::make_unique<baselines::ElfStrategy>(*bare, config.elf,
+                                                          on_patch_done);
       break;
     case StrategyKind::kClipper:
       strategy = std::make_unique<baselines::ClipperStrategy>(
-          sim, platform, config.clipper, on_patch_done);
+          sim, *bare, config.clipper, on_patch_done);
       break;
     case StrategyKind::kMArk:
       strategy = std::make_unique<baselines::MArkStrategy>(
-          sim, platform, config.mark, on_patch_done);
+          sim, *bare, config.mark, on_patch_done);
       break;
   }
+  const serverless::FunctionPlatform& platform =
+      tangram ? tangram->platform() : *bare;
+  const auto deliver = [&](const core::Patch& patch) {
+    if (tangram) {
+      tangram->receive_patch(patch);
+    } else {
+      strategy->on_patch(patch);
+    }
+  };
 
   // Schedule every evaluation frame of every camera.  Camera phases are
   // staggered so the shared uplink sees an interleaved arrival process
@@ -182,15 +197,18 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
                           ? config.per_camera_slo[cam]
                           : config.slo_s;
           patch.bytes = bytes;
-          link_of(cam).send(bytes,
-                            [&, patch] { strategy->on_patch(patch); });
+          link_of(cam).send(bytes, [&, patch] { deliver(patch); });
         }
       });
     }
   }
 
   sim.run();
-  strategy->flush();
+  if (tangram) {
+    tangram->flush();
+  } else {
+    strategy->flush();
+  }
   sim.run();
 
   result.total_cost = platform.total_cost();
@@ -204,7 +222,7 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   for (const auto& link : links)
     result.transmission_busy_s += link->transmission_time().sum();
   result.makespan_s = sim.now();
-  if (tangram != nullptr) {
+  if (tangram) {
     result.canvas_efficiency = tangram->invoker().canvas_efficiency();
     result.batch_canvases = tangram->invoker().batch_canvas_count();
     result.batch_patches = tangram->invoker().batch_patch_count();
@@ -397,7 +415,7 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
   // Predictive-provisioning roll-up: sums over EVERY pool (the per-pool
   // telemetry above keeps the series), matching the facade accessors.
   const serverless::AutoscalePolicy& autoscale = config.platform.autoscale;
-  result.forecast_active = autoscale.forecasting() && !autoscale.shadow;
+  result.forecast_active = autoscale.forecasting();
   result.forecast_horizon = autoscale.horizon;
   for (const serverless::PoolTelemetry& pool : result.pools)
     result.autoscale_samples += pool.series.size();
@@ -578,10 +596,9 @@ std::string deterministic_json(const MultiStreamResult& result) {
     out += '}';
   }
   out += ']';
-  // Forecast-driven provisioning block: emitted only when an actuating
-  // forecast policy drove the run (shadow/observe-only runs included would
-  // break their byte-identity with kStatic) — same gating pattern as the
-  // rebalance block below.
+  // Forecast-driven provisioning block: emitted only when a forecast policy
+  // drove the run, so static and reactive runs keep their pre-forecast byte
+  // stream — same gating pattern as the rebalance block below.
   if (result.forecast_active) {
     out += ",\"forecast\":{\"horizon\":" +
            std::to_string(result.forecast_horizon);

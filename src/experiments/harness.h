@@ -8,7 +8,9 @@
 //    SLO dynamics;
 //  * run_end_to_end(): the Fig. 12-14 methodology — cameras stream over a
 //    shared bandwidth-limited uplink into a live scheduler on the
-//    discrete-event simulator, with SLO-violation accounting;
+//    discrete-event simulator (Tangram is the TangramSystem facade on one
+//    shard; the baselines are baselines:: strategies), with SLO-violation
+//    accounting;
 //  * run_multistream(): the scale-out scenario beyond the paper — N cameras
 //    registered as first-class streams on ONE TangramSystem facade (shared
 //    invoker + platform, cross-stream canvas stitching), with per-stream
@@ -209,7 +211,7 @@ struct MultiStreamResult {
   // --- predictive-provisioning telemetry -------------------------------------
   // Summed across EVERY capacity pool (never pool-0-only); per-pool series
   // (demand/forecast histories) stay on `pools`.
-  bool forecast_active = false;  // an actuating forecast policy drove limits
+  bool forecast_active = false;  // a forecast policy drove limits
   std::size_t forecast_horizon = 1;     // the policy's horizon, in ticks
   std::uint64_t autoscale_samples = 0;  // AutoscaleSample entries, all pools
   std::uint64_t prewarm_boots = 0;

@@ -73,14 +73,11 @@ FunctionPlatform::FunctionPlatform(sim::Simulator& simulator,
     if (scale.headroom < 0)
       throw std::invalid_argument(
           "FunctionPlatform: autoscale headroom must be >= 0");
-  } else if (scale.prewarm || scale.shadow) {
+  } else if (scale.prewarm) {
     throw std::invalid_argument(
-        "FunctionPlatform: prewarm/shadow require a forecast-driven "
-        "autoscale policy");
+        "FunctionPlatform: prewarm requires a forecast-driven autoscale "
+        "policy");
   }
-  if (scale.prewarm && scale.shadow)
-    throw std::invalid_argument(
-        "FunctionPlatform: prewarm and shadow are mutually exclusive");
   // The default pool always exists and spans the whole fleet, so an
   // un-pooled platform behaves exactly as before pools existed.
   (void)define_pool({kDefaultPool, 0, config_.max_instances});
@@ -256,16 +253,6 @@ TANGRAM_HOT_PATH void FunctionPlatform::invoke_on_pool(const RequestSpec& spec,
   if (spec.num_canvases <= 0 && spec.image_megapixels <= 0.0)
     throw std::invalid_argument("FunctionPlatform::invoke: empty request");
 
-  if (config_.autoscale.shadow) {
-    // Catch up the observe-only series before this arrival mutates state;
-    // the first arrival arms the boundary clock (mirroring how the real
-    // timer is first armed from invoke()).
-    shadow_observe();
-    if (!shadow_armed_) {
-      shadow_armed_ = true;
-      shadow_next_ = sim_.now() + config_.autoscale.interval_s;
-    }
-  }
   maybe_arm_autoscaler();
   Pending pending{spec, std::move(on_complete), sim_.now(), pool};
   Pool& p = pools_[static_cast<std::size_t>(pool)];
@@ -457,7 +444,6 @@ TANGRAM_HOT_PATH std::uint32_t FunctionPlatform::acquire_completion() {
 }
 
 TANGRAM_HOT_PATH void FunctionPlatform::finish_invocation(std::uint32_t slot) {
-  if (config_.autoscale.shadow) shadow_observe();
   // Copy out and release the slot first: the callback (or the drain it
   // triggers) may invoke again and legitimately reuse this very slot.
   const InvocationRecord record = completions_[slot].record;
@@ -476,9 +462,6 @@ TANGRAM_HOT_PATH void FunctionPlatform::finish_invocation(std::uint32_t slot) {
 
 void FunctionPlatform::maybe_arm_autoscaler() {
   if (config_.autoscale.kind == AutoscalePolicy::Kind::kStatic) return;
-  // Shadow mode schedules nothing: the observe-only series are recorded
-  // lazily by shadow_observe(), so the event stream matches kStatic.
-  if (config_.autoscale.shadow) return;
   if (autoscale_timer_.pending()) return;
   autoscale_timer_ =
       sim_.schedule_in(config_.autoscale.interval_s, [this] {
@@ -631,16 +614,6 @@ void FunctionPlatform::finish_prewarm(int pool) {
   drain_backlog();
 }
 
-void FunctionPlatform::shadow_observe() {
-  if (!shadow_armed_) return;
-  // State is piecewise-constant between events, so every interval boundary
-  // passed since the last mutation observed exactly this state.
-  while (shadow_next_ <= sim_.now()) {
-    for (Pool& pool : pools_) (void)observe_and_forecast(pool);
-    shadow_next_ += config_.autoscale.interval_s;
-  }
-}
-
 void FunctionPlatform::autoscale_tick() {
   const bool forecasting = config_.autoscale.forecasting();
   bool limits_moved = false;
@@ -691,9 +664,13 @@ void FunctionPlatform::autoscale_tick() {
   // wave is the action the forecast exists for.  Termination stays
   // guaranteed by the idle-tick budget — Holt-Winters' seasonal memory can
   // predict the next wave indefinitely, so after two silent periods (or
-  // windows) of zero demand the workload is treated as over and the timer
-  // is allowed to stop.
-  idle_ticks_ = saw_demand ? 0 : idle_ticks_ + 1;
+  // windows) of idle ticks the workload is treated as over and the timer
+  // is allowed to stop.  A tick is idle when it saw no demand, or when its
+  // only demand is a backlog that cannot start with nothing in flight: then
+  // other pools' reservations cover the whole fleet, and that never ends.
+  const bool progressed = limits_moved || queued_ != backlog_before;
+  const bool starved = total_in_use_ == 0 && queued_ > 0 && !progressed;
+  idle_ticks_ = saw_demand && !starved ? 0 : idle_ticks_ + 1;
   bool predicts_demand = false;
   if (forecasting && config_.autoscale.prewarm &&
       idle_ticks_ <= 2 * std::max(config_.autoscale.period,
@@ -702,7 +679,6 @@ void FunctionPlatform::autoscale_tick() {
       predicts_demand |=
           !pool.forecast_history.empty() &&
           static_cast<int>(std::ceil(pool.forecast_history.back() - 1e-9)) > 0;
-  const bool progressed = limits_moved || queued_ != backlog_before;
   if (total_in_use_ > 0 || predicts_demand || (queued_ > 0 && progressed))
     autoscale_timer_ =
         sim_.schedule_in(config_.autoscale.interval_s, [this] {

@@ -122,11 +122,7 @@ struct CapacityPoolConfig {
 // AHEAD of the predicted wave, so cold-start setup is paid before arrivals
 // land; pre-warm boots are billed by setup duration (resource_rate, no
 // per-request fee), attributed separately in pool telemetry, and never
-// counted in cold_starts().  With `shadow` enabled the forecaster only
-// OBSERVES: demand/forecast series are recorded lazily at event boundaries
-// (no timer event is ever scheduled), limits never move, nothing pre-warms
-// — the run is event-for-event identical to kStatic, which is how the
-// forecasters are regression-pinned against the pre-forecast goldens.
+// counted in cold_starts().
 struct AutoscalePolicy {
   enum class Kind {
     kStatic,             // limits never move; NO timer is scheduled
@@ -167,9 +163,6 @@ struct AutoscalePolicy {
   int headroom = 0;
   // Boot instances ahead of the forecast wave (forecast kinds only).
   bool prewarm = false;
-  // Observe-only mode (forecast kinds only, mutually exclusive with
-  // prewarm): record demand/forecast series without a timer, limits frozen.
-  bool shadow = false;
 
   [[nodiscard]] bool forecasting() const {
     return kind == Kind::kEwma || kind == Kind::kHoltWinters ||
@@ -235,16 +228,6 @@ struct AutoscalePolicy {
     p.interval_s = interval_s;
     p.initial_limit = initial_limit;
     return p;
-  }
-  // Observe-only twin of `base`: same forecaster and parameters, but no
-  // timer, no limit movement, no pre-warming — byte-identical to kStatic.
-  // initial_limit reverts to 0 (burst) because frozen limits must sit where
-  // kStatic leaves them.
-  [[nodiscard]] static AutoscalePolicy shadow_of(AutoscalePolicy base) {
-    base.shadow = true;
-    base.prewarm = false;
-    base.initial_limit = 0;
-    return base;
   }
 };
 
@@ -531,12 +514,6 @@ class FunctionPlatform {
   // boot completion.
   void prewarm_pools();
   void finish_prewarm(int pool);
-  // Shadow mode: reconstruct the interval-boundary observations the timer
-  // would have made.  Platform state is piecewise-constant between events,
-  // so sampling at the entry of the two state mutators (invoke / finish) is
-  // exact — and schedules nothing, keeping shadow runs event-for-event
-  // identical to kStatic.
-  void shadow_observe();
 
   sim::Simulator& sim_;
   PlatformConfig config_;
@@ -551,12 +528,9 @@ class FunctionPlatform {
   std::vector<Completion> completions_;        // slot pool (see Completion)
   std::vector<std::uint32_t> completion_free_;
   sim::EventHandle autoscale_timer_;
-  // Next interval boundary shadow_observe() owes a sample for (shadow mode
-  // only); 0 until the first invoke arms it.
-  double shadow_next_ = 0.0;
-  bool shadow_armed_ = false;
-  // Consecutive autoscale ticks with zero demand across every pool; bounds
-  // how long a pre-warming forecaster may keep ticking over an idle fleet.
+  // Consecutive autoscale ticks with zero demand across every pool, or with
+  // a starved backlog and nothing in flight; bounds how long a pre-warming
+  // forecaster may keep ticking over a fleet that cannot make progress.
   std::size_t idle_ticks_ = 0;
   int round_robin_ = 0;
   int total_in_use_ = 0;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -352,28 +354,54 @@ TEST(Autoscale, StaticPolicyRecordsNoSeries) {
 
 TEST(Autoscale, TerminatesOnPermanentlyStarvedBacklog) {
   // Reservations may sum to the whole fleet; a default-pool request then can
-  // never start.  A non-static autoscaler must not keep ticking forever over
-  // that fixed point — sim.run() has to terminate with the request still
-  // queued (a previous version re-armed unconditionally and hung here).
+  // never start.  No autoscaler may keep ticking forever over that fixed
+  // point — sim.run() has to terminate with the request still queued.  A
+  // pre-warming forecaster counts the starved backlog as demand, so only the
+  // idle-tick budget (two windows / periods of ticks) can stop it.
+  const std::vector<std::pair<const char*, AutoscalePolicy>> policies = {
+      {"queue_pressure", AutoscalePolicy::queue_pressure(/*backlog_high=*/1,
+                                                         /*interval_s=*/0.05,
+                                                         /*initial_limit=*/1)},
+      {"windowed_max", AutoscalePolicy::windowed_max(8, 0.05, 1)},
+      {"ewma", AutoscalePolicy::ewma(0.5, 1, 0.05, 1)},
+      {"holt_winters",
+       AutoscalePolicy::holt_winters(0.5, 0.1, 0.1, 8, 0.05, 1)},
+  };
+  for (const auto& [name, policy] : policies) {
+    sim::Simulator sim;
+    PlatformConfig config = base_config();
+    config.max_instances = 2;
+    config.pools.push_back({"owns-everything", 2, -1});
+    config.autoscale = policy;
+    config.autoscale.prewarm = policy.forecasting();
+    FunctionPlatform platform(sim, config, deterministic_latency());
+    bool completed = false;
+    platform.invoke(canvases(1), [&](const InvocationRecord&) {
+      completed = true;
+    });
+    sim.run();  // must return
+    EXPECT_FALSE(completed) << name;
+    EXPECT_EQ(platform.queued_requests(), 1u) << name;
+    EXPECT_LE(platform.pool_telemetry(0).series.size(),
+              2 * std::max(policy.period, policy.window) + 1)
+        << name;
+    // A later reserved-pool invocation re-arms the world and completes.
+    platform.invoke(canvases(1), "owns-everything", nullptr);
+    sim.run();
+    EXPECT_EQ(platform.pool_telemetry(1).dispatched, 1u) << name;
+  }
+}
+
+TEST(Autoscale, PrewarmRequiresAForecastPolicy) {
   sim::Simulator sim;
   PlatformConfig config = base_config();
-  config.max_instances = 2;
-  config.pools.push_back({"owns-everything", 2, -1});
-  config.autoscale = AutoscalePolicy::queue_pressure(/*backlog_high=*/1,
-                                                     /*interval_s=*/0.05,
-                                                     /*initial_limit=*/1);
-  FunctionPlatform platform(sim, config, deterministic_latency());
-  bool completed = false;
-  platform.invoke(canvases(1), [&](const InvocationRecord&) {
-    completed = true;
-  });
-  sim.run();  // must return
-  EXPECT_FALSE(completed);
-  EXPECT_EQ(platform.queued_requests(), 1u);
-  // A later reserved-pool invocation re-arms the world and completes.
-  platform.invoke(canvases(1), "owns-everything", nullptr);
-  sim.run();
-  EXPECT_EQ(platform.pool_telemetry(1).dispatched, 1u);
+  config.autoscale = AutoscalePolicy::queue_pressure();
+  config.autoscale.prewarm = true;
+  EXPECT_THROW({ FunctionPlatform platform(sim, config); },
+               std::invalid_argument);
+  config.autoscale = AutoscalePolicy::windowed_max();
+  config.autoscale.prewarm = true;
+  EXPECT_NO_THROW({ FunctionPlatform platform(sim, config); });
 }
 
 TEST(Autoscale, LimitNeverDropsBelowReservation) {

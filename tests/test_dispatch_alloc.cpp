@@ -30,7 +30,6 @@
 #include "golden.h"
 #include "serverless/platform.h"
 #include "sim/simulator.h"
-#include "video/scene_catalog.h"
 
 // Shared probe hook (common/alloc_probe.h): its counter is atomic, which
 // matters here — the golden suite below runs jobs=8 worker pools, so
@@ -165,46 +164,23 @@ TEST(DispatchAlloc, RecycledStorageIsActuallyReused) {
 // --- suite 2: byte-identity of the recycled-batch path -----------------------
 
 using golden::fnv1a;
+using golden::GoldenFleet;
 
-// Captured on the pre-recycling tree: 16 streams of scene 47 (mixed 0.25s /
-// 2s SLOs) on 8 instances with a reserved tight-class pool, hashed over
-// deterministic_json() per run_sharded leg.
-constexpr std::uint64_t kGoldenSingle = 0x5e0c9ecd8844f599ull;
-constexpr std::uint64_t kGoldenSharded = 0x6b6ec9677e4010eeull;
-constexpr std::uint64_t kGoldenReserved = 0x68005a79a8e4854full;
-constexpr std::uint64_t kGoldenReservoirDirect = 0xa584d3f64f0eeb21ull;
-
-struct GoldenFleet {
-  experiments::SceneTrace trace;
-  std::vector<const experiments::SceneTrace*> fleet;
-  experiments::MultiStreamConfig config;
-
-  GoldenFleet() {
-    experiments::TraceConfig tc;
-    tc.raster.analysis = {240, 135};
-    trace = experiments::build_trace(video::test_scene(47), tc);
-    fleet.assign(16, &trace);
-    for (std::size_t i = 0; i < fleet.size(); ++i)
-      config.per_stream_slo.push_back(i % 4 == 0 ? 0.25 : 2.0);
-    config.platform.max_instances = 8;
-    config.pool_for_shard = experiments::reserved_tight_pool_plan(
-        0.5, /*tight_reserved=*/2, /*loose_burst_limit=*/6);
-  }
-};
-
+// The fleet goldens (tests/golden.h) were captured on the pre-recycling
+// tree: recycling batch storage must not move a byte.
 TEST(DispatchAlloc, RecycledBatchPathIsByteIdenticalAcrossJobs) {
   GoldenFleet g;
   for (const int jobs : {1, 8}) {
     g.config.jobs = jobs;
     const auto legs = experiments::run_sharded(g.fleet, g.config);
     EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.single)),
-              kGoldenSingle)
+              golden::kFleetSingle)
         << "jobs=" << jobs;
     EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.sharded)),
-              kGoldenSharded)
+              golden::kFleetSharded)
         << "jobs=" << jobs;
     EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.sharded_reserved)),
-              kGoldenReserved)
+              golden::kFleetReserved)
         << "jobs=" << jobs;
   }
 }
@@ -214,7 +190,7 @@ TEST(DispatchAlloc, RecycledBatchPathIsByteIdenticalWithReservoirTelemetry) {
   g.config.telemetry_reservoir = 64;
   const auto direct = experiments::run_multistream(g.fleet, g.config);
   EXPECT_EQ(fnv1a(experiments::deterministic_json(direct)),
-            kGoldenReservoirDirect);
+            golden::kFleetReservoirDirect);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "golden.h"
+
 namespace tangram::experiments {
 namespace {
 
@@ -144,6 +151,133 @@ TEST_F(HarnessTest, PerCameraSloOverridesDefault) {
   // Camera 0's patches all violate; camera 1's (default SLO) all pass.
   EXPECT_GT(result.violation_rate(), 0.35);
   EXPECT_LT(result.violation_rate(), 0.65);
+}
+
+// --- paper-figure path golden ------------------------------------------------
+
+// Every RunResult field at full precision, sampler values included, so any
+// change to a simulated number of the Fig. 12-14 path is a byte difference.
+std::string serialize(const RunResult& r) {
+  std::string out = r.strategy;
+  const auto num = [&out](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, " %.17g", v);
+    out += buf;
+  };
+  const auto count = [&out](std::size_t v) { out += ' ' + std::to_string(v); };
+  const auto sampler = [&](const common::Sampler& s) {
+    count(s.count());
+    num(s.mean());
+    num(s.stddev());
+    num(s.stats().min());
+    num(s.stats().max());
+    for (const double v : s.values()) num(v);
+    out += ';';
+  };
+  num(r.total_cost);
+  count(r.invocations);
+  count(static_cast<std::size_t>(r.instances_created));
+  count(static_cast<std::size_t>(r.fleet_size));
+  count(r.stragglers);
+  count(r.retries);
+  count(r.completed_items);
+  count(r.violations);
+  sampler(r.e2e_latency);
+  sampler(r.exec_latency);
+  sampler(r.canvas_efficiency);
+  sampler(r.batch_canvases);
+  sampler(r.batch_patches);
+  count(r.total_bytes);
+  num(r.transmission_busy_s);
+  num(r.execution_busy_s);
+  num(r.makespan_s);
+  count(r.eval_frames);
+  return out;
+}
+
+// The constants were recorded when run_end_to_end still wired its own
+// estimator and invoker beside TangramSystem; driving the facade must not
+// move a single simulated number.
+TEST_F(HarnessTest, TangramEndToEndMatchesGolden) {
+  struct Case {
+    const char* name;
+    std::size_t cameras;
+    EndToEndConfig config;
+    std::uint64_t golden;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* name, std::size_t cameras,
+                       std::uint64_t golden, auto tweak) {
+    EndToEndConfig config = quick_config();
+    tweak(config);
+    cases.push_back({name, cameras, config, golden});
+  };
+  add("default", 1, 0xcf15e4b6aadf8fd9ull, [](EndToEndConfig&) {});
+  add("shared_uplink", 3, 0x046b0652973c92a2ull,
+      [](EndToEndConfig& c) { c.bandwidth_mbps = 10.0; });
+  add("dedicated_uplinks", 3, 0xd5ad4c2126f7724cull, [](EndToEndConfig& c) {
+    c.bandwidth_mbps = 10.0;
+    c.dedicated_uplinks = true;
+  });
+  add("mixed_camera_slo", 3, 0x8531708915760703ull,
+      [](EndToEndConfig& c) { c.per_camera_slo = {0.4, 2.0}; });
+  add("tight_slo", 2, 0x5f0b762bbde533d4ull,
+      [](EndToEndConfig& c) { c.slo_s = 0.5; });
+  add("canvas_512_tiles", 2, 0xaa7264ab62a8b0bfull,
+      [](EndToEndConfig& c) { c.canvas = {512, 512}; });
+  add("faults", 2, 0x06f07b10d28b709aull, [](EndToEndConfig& c) {
+    c.platform.faults.straggler_probability = 0.2;
+    c.platform.faults.failure_probability = 0.1;
+    c.platform.faults.cold_spike_probability = 0.2;
+  });
+  add("bssf", 2, 0x312df462834565fdull, [](EndToEndConfig& c) {
+    c.heuristic = core::PackHeuristic::kGuillotineBssf;
+  });
+  add("shelf", 2, 0x85b3cda7abbdb77aull, [](EndToEndConfig& c) {
+    c.heuristic = core::PackHeuristic::kShelfFirstFit;
+  });
+  add("one_per_canvas", 2, 0xa5a657418e5f1cebull, [](EndToEndConfig& c) {
+    c.heuristic = core::PackHeuristic::kOnePerCanvas;
+  });
+  add("skyline", 2, 0x1754591270ee7897ull, [](EndToEndConfig& c) {
+    c.heuristic = core::PackHeuristic::kSkylineBottomLeft;
+  });
+  // One canvas per patch fills batches past the 9 canvases that 6 GB of
+  // VRAM admits, so lifting the bound changes batching.
+  add("unconstrained_gpu", 2, 0x4612983086f8b1faull, [](EndToEndConfig& c) {
+    c.heuristic = core::PackHeuristic::kOnePerCanvas;
+    c.platform.canvas_gpu_gb = 0.0;
+  });
+  add("slack_sigma_1", 2, 0x5f3d50a35b0db5c9ull,
+      [](EndToEndConfig& c) { c.slack_sigma = 1.0; });
+  add("aligned_cameras_seed_11", 3, 0x1fdafa7c31458adbull,
+      [](EndToEndConfig& c) {
+        c.stagger_cameras = false;
+        c.seed = 11;
+      });
+
+  for (const Case& c : cases) {
+    const std::vector<const SceneTrace*> cameras(c.cameras, trace_);
+    const RunResult result =
+        run_end_to_end(cameras, StrategyKind::kTangram, c.config);
+    // The cases exercise what they are named for.
+    if (c.config.canvas.width < 1024) {
+      EXPECT_GT(result.completed_items, c.cameras * total_patches())
+          << c.name;
+    }
+    if (c.config.platform.faults.enabled()) {
+      EXPECT_GT(result.stragglers, 0u) << c.name;
+      EXPECT_GT(result.retries, 0u) << c.name;
+    }
+    if (c.config.platform.canvas_gpu_gb == 0.0) {
+      EXPECT_GT(result.batch_canvases.stats().max(), 9.0) << c.name;
+    }
+    const std::uint64_t hash = golden::fnv1a(serialize(result));
+    char hex[24];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(hash));
+    EXPECT_EQ(hash, c.golden) << c.name << " hashes to " << hex;
+  }
 }
 
 // --- multi-stream scenario --------------------------------------------------

@@ -1,128 +1,34 @@
 // Predictive provisioning + proactive pre-warming.
 //
-// Suite 1 pins byte-identity: the default static policy, AND every
-// forecaster running in shadow (observe-only) mode, must reproduce the
-// pre-forecast FNV-1a goldens of the 16-stream reserved-pool fleet at jobs
-// 1 and 8 — the same constants test_dispatch_alloc pinned in PR 7.  Shadow
-// mode schedules no timer and never moves a limit, so enabling a
-// forecaster without actuation must not perturb a single byte.
-//
-// Suite 2 is the end-to-end provisioning study in miniature: on a scripted
+// Suite 1 is the end-to-end provisioning study in miniature: on a scripted
 // step-load trace, pre-warming ahead of the wave strictly reduces
-// tight-class SLO misses vs queue-pressure reactive scaling.
+// tight-class SLO misses vs queue-pressure reactive scaling.  The same
+// pre-warming step load, run as sweep cells, must produce byte-equal
+// deterministic_json at jobs 1 and 8, "forecast" block included — the
+// forecasters and their pre-warm boots raced across worker threads.
 //
-// Suite 3 audits the billing and aggregation conventions: pre-warm boots
+// Suite 2 audits the billing and aggregation conventions: pre-warm boots
 // are billed (into total_cost, attributed per pool) but never counted in
 // cold_starts(); roll-ups sum across EVERY pool, never pool 0 only.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/harness.h"
 #include "golden.h"
-#include "serverless/forecast.h"
 #include "serverless/platform.h"
 #include "sim/simulator.h"
-#include "video/scene_catalog.h"
 
 namespace tangram::experiments {
 namespace {
 
-using golden::fnv1a;
+using golden::GoldenFleet;
 
-// The PR-7 goldens (tests/test_dispatch_alloc.cpp): 16 streams of scene 47
-// (mixed 0.25s / 2s SLOs) on 8 instances with a reserved tight-class pool.
-constexpr std::uint64_t kGoldenSingle = 0x5e0c9ecd8844f599ull;
-constexpr std::uint64_t kGoldenSharded = 0x6b6ec9677e4010eeull;
-constexpr std::uint64_t kGoldenReserved = 0x68005a79a8e4854full;
-constexpr std::uint64_t kGoldenReservoirDirect = 0xa584d3f64f0eeb21ull;
-
-struct GoldenFleet {
-  SceneTrace trace;
-  std::vector<const SceneTrace*> fleet;
-  MultiStreamConfig config;
-
-  GoldenFleet() {
-    TraceConfig tc;
-    tc.raster.analysis = {240, 135};
-    trace = build_trace(video::test_scene(47), tc);
-    fleet.assign(16, &trace);
-    for (std::size_t i = 0; i < fleet.size(); ++i)
-      config.per_stream_slo.push_back(i % 4 == 0 ? 0.25 : 2.0);
-    config.platform.max_instances = 8;
-    config.pool_for_shard = reserved_tight_pool_plan(
-        0.5, /*tight_reserved=*/2, /*loose_burst_limit=*/6);
-  }
-};
-
-// --- suite 1: byte-identity of static + shadow-mode forecasters --------------
-
-TEST(ProvisioningGolden, StaticPolicyReproducesPreForecastGoldens) {
-  GoldenFleet g;
-  for (const int jobs : {1, 8}) {
-    g.config.jobs = jobs;
-    const auto legs = run_sharded(g.fleet, g.config);
-    EXPECT_EQ(fnv1a(deterministic_json(legs.single)), kGoldenSingle)
-        << "jobs=" << jobs;
-    EXPECT_EQ(fnv1a(deterministic_json(legs.sharded)), kGoldenSharded)
-        << "jobs=" << jobs;
-    EXPECT_EQ(fnv1a(deterministic_json(legs.sharded_reserved)), kGoldenReserved)
-        << "jobs=" << jobs;
-  }
-}
-
-TEST(ProvisioningGolden, ShadowForecastersAreByteIdenticalToStatic) {
-  using serverless::AutoscalePolicy;
-  const std::vector<std::pair<const char*, AutoscalePolicy>> policies = {
-      {"ewma", AutoscalePolicy::ewma(0.5, 1, 0.5)},
-      {"holt_winters", AutoscalePolicy::holt_winters(0.5, 0.1, 0.1, 8, 0.5)},
-      {"windowed_max", AutoscalePolicy::windowed_max(8, 0.5)},
-  };
-  for (const auto& [name, policy] : policies) {
-    GoldenFleet g;
-    // The reserved leg of run_sharded runs the caller's autoscale config;
-    // in shadow mode the forecaster observes demand but the event stream
-    // (and every JSON byte) must match the static golden.
-    g.config.platform.autoscale = AutoscalePolicy::shadow_of(policy);
-    for (const int jobs : {1, 8}) {
-      g.config.jobs = jobs;
-      const auto legs = run_sharded(g.fleet, g.config);
-      EXPECT_EQ(fnv1a(deterministic_json(legs.sharded_reserved)),
-                kGoldenReserved)
-          << name << " jobs=" << jobs;
-    }
-    // The shadow run DID observe: demand/forecast series were recorded (one
-    // pair per pool per interval boundary), aligned for the accuracy
-    // harness — they just never actuated.
-    g.config.jobs = 1;
-    const auto legs = run_sharded(g.fleet, g.config);
-    std::size_t samples = 0;
-    for (const auto& pool : legs.sharded_reserved.pools) {
-      EXPECT_EQ(pool.demand_history.size(), pool.forecast_history.size())
-          << name;
-      samples += pool.demand_history.size();
-      EXPECT_EQ(pool.prewarm_boots, 0u) << name;
-      EXPECT_EQ(pool.prewarm_cost, 0.0) << name;
-    }
-    EXPECT_GT(samples, 0u) << name;
-    EXPECT_FALSE(legs.sharded_reserved.forecast_active) << name;
-  }
-}
-
-TEST(ProvisioningGolden, ShadowIsByteIdenticalWithReservoirTelemetry) {
-  GoldenFleet g;
-  g.config.telemetry_reservoir = 64;
-  g.config.platform.autoscale =
-      serverless::AutoscalePolicy::shadow_of(serverless::AutoscalePolicy::ewma());
-  const auto direct = run_multistream(g.fleet, g.config);
-  EXPECT_EQ(fnv1a(deterministic_json(direct)), kGoldenReservoirDirect);
-}
-
-// --- suite 2: pre-warming beats reactive scaling on a step load --------------
+// --- suite 1: pre-warming beats reactive scaling on a step load --------------
 
 // Scripted step load on the golden fleet: two 8-stream rush-hour waves
 // separated by a ~3s idle valley (each stream runs ~30s of 1 fps trace).
@@ -177,7 +83,40 @@ TEST(ProvisioningStepLoad, PrewarmingReducesTightMissesVsQueuePressure) {
   EXPECT_EQ(reactive_run.prewarm_cost, 0.0);
 }
 
-// --- suite 3: billing + aggregation audits -----------------------------------
+TEST(ProvisioningStepLoad, PrewarmingForecastersAreByteIdenticalAcrossJobs) {
+  GoldenFleet g;
+  const serverless::AutoscalePolicy forecasters[] = {
+      serverless::AutoscalePolicy::windowed_max(12, 0.5),
+      serverless::AutoscalePolicy::ewma(0.5, 1, 0.5),
+      serverless::AutoscalePolicy::holt_winters(0.5, 0.1, 0.1, 8, 0.5),
+  };
+  std::vector<MultiStreamCell> cells;
+  for (const auto& policy : forecasters) {
+    MultiStreamConfig config = step_load_config(g);
+    config.platform.autoscale = policy;
+    config.platform.autoscale.prewarm = true;
+    cells.push_back({g.fleet, std::move(config)});
+  }
+  // Two same-seed copies of the windowed-max cell race each other too.
+  cells.push_back(cells.front());
+  const auto profile = profile_estimator(cells.front().config);
+  for (MultiStreamCell& cell : cells) cell.config.profiled_estimator = profile;
+
+  const auto serial = run_multistream_cells(cells, 1);
+  const auto parallel = run_multistream_cells(cells, 8);
+  ASSERT_EQ(serial.size(), cells.size());
+  ASSERT_EQ(parallel.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string json = deterministic_json(serial[i].result);
+    EXPECT_NE(json.find("\"forecast\""), std::string::npos) << i;
+    EXPECT_GT(serial[i].result.prewarm_boots, 0u) << i;
+    EXPECT_EQ(deterministic_json(parallel[i].result), json) << i;
+  }
+  EXPECT_EQ(deterministic_json(serial.back().result),
+            deterministic_json(serial.front().result));
+}
+
+// --- suite 2: billing + aggregation audits -----------------------------------
 
 // Drive the platform directly so every InvocationRecord is visible: pre-warm
 // boots must be billed exactly once (attributed per pool, included in
