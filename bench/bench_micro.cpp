@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot components —
 // the patch-stitching solver (batch and incremental), the per-arrival repack
 // loop of Algorithm 2 (from-scratch vs. StitchSession), adaptive frame
-// partitioning, GMM background subtraction, blob extraction, a whole live
-// edge frame, the event queue, the latency estimator lookup, and the
-// serverless platform's backlog drain.
+// partitioning, GMM background subtraction (untrained and trained), blob
+// extraction, a whole live edge frame, the event queue, the latency
+// estimator lookup, and the serverless platform's backlog drain.
 
 #include <benchmark/benchmark.h>
 
@@ -151,6 +151,34 @@ BENCHMARK(BM_GmmApply)->Arg(320)->Arg(480)->Arg(960);
 // Frames a PANDA camera renders and trains its GMM on before its masks are
 // representative (the scenes' training prefix).
 constexpr int kGmmTrainingFrames = 100;
+
+// GMM as a live edge camera runs it: PANDA scene `range(0)` at the default
+// 480x270 analysis resolution, trained for kGmmTrainingFrames frames, then
+// timed on each frame that follows (rendered untimed).  BM_GmmApply cycles
+// untrained frames of a test scene instead, where far more pixels miss or
+// re-rank their components.
+void BM_GmmApplyTrained(benchmark::State& state) {
+  const auto spec = video::panda4k_scene(static_cast<int>(state.range(0)));
+  video::SyntheticScene scene(spec);
+  video::FrameRasterizer rasterizer(spec.frame, video::RasterConfig{});
+  vision::GmmBackgroundSubtractor gmm(rasterizer.analysis_size());
+  for (int f = 0; f < kGmmTrainingFrames; ++f)
+    (void)gmm.apply(rasterizer.render(scene.next_frame()));
+  for (auto _ : state) {
+    state.PauseTiming();
+    const video::Image frame = rasterizer.render(scene.next_frame());
+    state.ResumeTiming();
+    auto mask = gmm.apply(frame);
+    benchmark::DoNotOptimize(mask.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          rasterizer.analysis_size().area());
+}
+BENCHMARK(BM_GmmApplyTrained)
+    ->Arg(1)
+    ->Arg(5)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
 
 // Dilate, label and merge boxes on real GMM masks: PANDA scene `range(0)`
 // at the default 480x270 analysis resolution, after training.

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/alloc_probe.h"
 #include "common/rng.h"
 #include "video/raster.h"
 #include "video/scene_catalog.h"
+#include "vision/gmm_kernel.h"
+
+TANGRAM_DEFINE_ALLOC_PROBE_HOOK();
 
 namespace tangram::vision {
 namespace {
@@ -101,6 +107,16 @@ TEST(Gmm, IlluminationDriftTolerated) {
       total_fg += fg.data()[p] ? 1 : 0;
   }
   EXPECT_LT(total_fg, static_cast<int>(30 * 64 * 48 / 50));
+}
+
+TEST(Gmm, WarmApplyAllocatesOnlyItsMask) {
+  common::Rng rng(8);
+  GmmBackgroundSubtractor gmm({64, 48});
+  for (int i = 0; i < 5; ++i) (void)gmm.apply(make_frame(rng, i % 2 == 0));
+  const video::Image frame = make_frame(rng, true, 30, 12);
+  const common::AllocationProbe probe;
+  const video::Mask mask = gmm.apply(frame);
+  EXPECT_EQ(probe.allocations(), 1u);  // the mask's pixel buffer
 }
 
 TEST(Gmm, RejectsMismatchedFrameSize) {
@@ -218,14 +234,16 @@ class ReferenceGmm {
 };
 
 constexpr common::Size kEquivalenceSize{128, 72};
+// 2747 pixels: the last mixture block has 3 live lanes and 5 padded ones.
+constexpr common::Size kTailSize{67, 41};
 constexpr int kEquivalenceFrames = 110;
 
 // Frames of a rendered test scene: a noisy static background with moving,
 // appearing and departing textured objects.
-std::vector<video::Image> rendered_frames() {
+std::vector<video::Image> rendered_frames(common::Size size) {
   video::SyntheticScene scene(video::test_scene(7));
   video::RasterConfig raster;
-  raster.analysis = kEquivalenceSize;
+  raster.analysis = size;
   video::FrameRasterizer rasterizer(scene.spec().frame, raster);
   std::vector<video::Image> frames;
   for (int f = 0; f < kEquivalenceFrames; ++f)
@@ -237,13 +255,13 @@ std::vector<video::Image> rendered_frames() {
 // level: components keep being replaced and re-ranked, and many distance
 // tests land near the match threshold, where a changed rounding anywhere in
 // the update would flip a mask bit.
-std::vector<video::Image> churning_frames() {
+std::vector<video::Image> churning_frames(common::Size size) {
   common::Rng rng(17);
-  const auto n = static_cast<std::size_t>(kEquivalenceSize.area());
+  const auto n = static_cast<std::size_t>(size.area());
   std::vector<double> level(n, 128.0);
   std::vector<video::Image> frames;
   for (int f = 0; f < kEquivalenceFrames; ++f) {
-    video::Image img(kEquivalenceSize.width, kEquivalenceSize.height, 0);
+    video::Image img(size.width, size.height, 0);
     for (std::size_t px = 0; px < n; ++px) {
       level[px] = rng.bernoulli(0.08)
                       ? rng.uniform(0.0, 255.0)
@@ -256,31 +274,37 @@ std::vector<video::Image> churning_frames() {
   return frames;
 }
 
-void expect_reference_masks(const std::vector<video::Image>& frames,
-                            const GmmParams& params) {
-  ReferenceGmm reference(kEquivalenceSize, params);
-  GmmBackgroundSubtractor gmm(kEquivalenceSize, params);
-  std::size_t foreground = 0;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    const video::Mask want = reference.apply(frames[f]);
-    const video::Mask got = gmm.apply(frames[f]);
-    ASSERT_TRUE(std::equal(want.data(), want.data() + want.pixel_count(),
-                           got.data()))
-        << "K=" << params.num_gaussians << " alpha=" << params.learning_rate
-        << " frame " << f;
-    foreground += static_cast<std::size_t>(
-        std::count(got.data(), got.data() + got.pixel_count(), 255));
-  }
-  // K = 1 re-centres its only component on every miss, so it never reports
-  // foreground; every other model must have had something to classify.
-  if (params.num_gaussians > 1) {
-    EXPECT_GT(foreground, 0u);
-  }
+// A float w with 1 / (1 + w) == w exactly, about 0.618.  With it as the
+// initial weight, K = 3 and three far-apart values, the third frame leaves
+// weights [w, q, w] with q < w, so after renormalizing, a tie the sort must
+// order as std::sort does (the new component after the older one).
+constexpr double kTieWeight = 0x1.3c6ef4p-1;
+static_assert(1.0f / (1.0f + static_cast<float>(kTieWeight)) ==
+              static_cast<float>(kTieWeight));
+
+GmmParams tie_params() {
+  GmmParams p;
+  p.num_gaussians = 3;
+  p.initial_weight = kTieWeight;
+  // Below the tied weight (~0.38 once renormalized): only the first of the
+  // tied pair is background, so their order decides the third frame's mask.
+  p.background_ratio = 0.3;
+  return p;
+}
+
+// Uniform frames at levels a match never bridges (initial sigma ~11):
+// three misses build the tie, then the levels come back in turn.
+std::vector<video::Image> tie_frames(common::Size size) {
+  std::vector<video::Image> frames;
+  for (const int level : {40, 100, 160, 160, 40, 100, 220, 100, 40})
+    frames.emplace_back(size.width, size.height,
+                        static_cast<std::uint8_t>(level));
+  return frames;
 }
 
 std::vector<GmmParams> equivalence_params() {
   std::vector<GmmParams> all;
-  for (const int k : {1, 2, 3, 5, 8}) {
+  for (int k = 1; k <= 8; ++k) {
     GmmParams p;
     p.num_gaussians = k;
     all.push_back(p);
@@ -302,16 +326,133 @@ std::vector<GmmParams> equivalence_params() {
   return all;
 }
 
-TEST(GmmReference, RenderedSceneMasksMatchPerPixelReference) {
-  const auto frames = rendered_frames();
-  for (const auto& params : equivalence_params())
-    expect_reference_masks(frames, params);
+enum class FrameKind { kRendered, kChurning, kTied };
+
+// One frame sequence under one parameter set, with ReferenceGmm's mask for
+// every frame.
+struct EquivalenceCase {
+  FrameKind kind;
+  common::Size size;
+  const std::vector<video::Image>* frames;
+  GmmParams params;
+  std::vector<video::Mask> want;
+};
+
+// Every rendered and churning frame set x parameter set, plus the tied
+// frames under tie_params(); built once per test binary.
+const std::vector<EquivalenceCase>& equivalence_cases() {
+  static const std::vector<std::vector<video::Image>> frame_sets{
+      rendered_frames(kEquivalenceSize), churning_frames(kEquivalenceSize),
+      rendered_frames(kTailSize), churning_frames(kTailSize)};
+  static const std::vector<video::Image> tied = tie_frames(kEquivalenceSize);
+  static const std::vector<EquivalenceCase> cases = [] {
+    std::vector<EquivalenceCase> all;
+    const auto add = [&all](FrameKind kind, common::Size size,
+                            const std::vector<video::Image>& frames,
+                            const GmmParams& params) {
+      ReferenceGmm reference(size, params);
+      std::vector<video::Mask> want;
+      for (const auto& frame : frames) want.push_back(reference.apply(frame));
+      all.push_back({kind, size, &frames, params, std::move(want)});
+    };
+    for (std::size_t set = 0; set < frame_sets.size(); ++set) {
+      const FrameKind kind =
+          set % 2 == 1 ? FrameKind::kChurning : FrameKind::kRendered;
+      const common::Size size = set < 2 ? kEquivalenceSize : kTailSize;
+      for (const auto& params : equivalence_params())
+        add(kind, size, frame_sets[set], params);
+    }
+    add(FrameKind::kTied, kEquivalenceSize, tied, tie_params());
+    return all;
+  }();
+  return cases;
 }
 
-TEST(GmmReference, ChurningPixelMasksMatchPerPixelReference) {
-  const auto frames = churning_frames();
-  for (const auto& params : equivalence_params())
-    expect_reference_masks(frames, params);
+std::string describe(const EquivalenceCase& c) {
+  std::ostringstream out;
+  static constexpr const char* kKindNames[] = {"rendered", "churning", "tied"};
+  out << kKindNames[static_cast<int>(c.kind)] << " " << c.size.width << "x"
+      << c.size.height << " K=" << c.params.num_gaussians
+      << " alpha=" << c.params.learning_rate;
+  return out.str();
+}
+
+// Run case `c` through `apply`, which takes a frame and returns its mask's
+// bytes, and check every mask against the reference; stops at the first
+// mismatch.  K = 1 re-centres its only component on every miss, so it never
+// reports foreground; every other model must have had something to classify
+// on the full-size frames.  (The slow parameter set finds none in the small
+// churning frames, so the tail cases are not held to that.)
+template <class Apply>
+void expect_reference_masks(const EquivalenceCase& c, Apply apply) {
+  std::size_t foreground = 0;
+  for (std::size_t f = 0; f < c.frames->size(); ++f) {
+    const video::Mask& want = c.want[f];
+    const std::uint8_t* got = apply((*c.frames)[f]);
+    if (!std::equal(want.data(), want.data() + want.pixel_count(), got)) {
+      ADD_FAILURE() << describe(c) << " frame " << f;
+      return;
+    }
+    foreground += static_cast<std::size_t>(
+        std::count(got, got + want.pixel_count(), 255));
+  }
+  if (c.params.num_gaussians > 1 && c.size == kEquivalenceSize) {
+    EXPECT_GT(foreground, 0u) << describe(c);
+  }
+}
+
+// The public subtractor runs whichever pack the CPU supports best.
+TEST(GmmReference, SubtractorMasksMatchPerPixelReference) {
+  for (const auto& c : equivalence_cases()) {
+    GmmBackgroundSubtractor gmm(c.size, c.params);
+    video::Mask mask;
+    expect_reference_masks(c, [&](const video::Image& frame) {
+      mask = gmm.apply(frame);
+      return mask.data();
+    });
+  }
+}
+
+class GmmLanePackReference
+    : public ::testing::TestWithParam<detail::GmmLanePack> {};
+
+// Each lane pack, driven directly, against the per-pixel reference: all K
+// from 1 to 8, a padded last block, weight ties, and -- on the churning
+// frames -- lanes through both the vector and the scalar pass.
+TEST_P(GmmLanePackReference, MasksMatchPerPixelReference) {
+  const detail::GmmLanePack pack = GetParam();
+  if (!detail::gmm_lane_pack_supported(pack))
+    GTEST_SKIP() << "lane pack not supported by this build or CPU";
+  for (const auto& c : equivalence_cases()) {
+    const auto pixels = static_cast<std::size_t>(c.size.area());
+    detail::GmmMixture mixture(pixels, c.params, pack);
+    std::vector<std::uint8_t> mask(pixels);
+    std::size_t slow_lanes = 0;
+    expect_reference_masks(c, [&](const video::Image& frame) {
+      slow_lanes += mixture.apply(frame.data(), mask.data());
+      return mask.data();
+    });
+    const std::size_t updated_lanes = (c.frames->size() - 1) * pixels;
+    if (pack == detail::GmmLanePack::kScalar) {
+      EXPECT_EQ(slow_lanes, updated_lanes) << describe(c);
+    } else if (c.kind == FrameKind::kChurning) {
+      EXPECT_GT(slow_lanes, 0u) << describe(c);
+      EXPECT_LT(slow_lanes, updated_lanes) << describe(c);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPacks, GmmLanePackReference,
+    ::testing::Values(detail::GmmLanePack::kScalar, detail::GmmLanePack::kAvx2),
+    [](const ::testing::TestParamInfo<detail::GmmLanePack>& info) {
+      return std::string(info.param == detail::GmmLanePack::kScalar ? "Scalar"
+                                                                    : "Avx2");
+    });
+
+TEST(GmmLanePack, FastestIsSupportedAndScalarAlwaysIs) {
+  EXPECT_TRUE(detail::gmm_lane_pack_supported(detail::GmmLanePack::kScalar));
+  EXPECT_TRUE(detail::gmm_lane_pack_supported(detail::gmm_fastest_lane_pack()));
 }
 
 }  // namespace
