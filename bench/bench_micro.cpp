@@ -180,6 +180,72 @@ BENCHMARK(BM_GmmApplyTrained)
     ->Arg(10)
     ->Unit(benchmark::kMillisecond);
 
+// GMM across a live edge fleet, as edge_live runs it: range(0) cameras,
+// camera c on PANDA scene 1, 5 or 10 (c mod 3) with its own sensor noise,
+// each trained for kGmmTrainingFrames frames, then applied round-robin, one
+// frame per camera in turn (frames rendered untimed).  Twelve mixtures of
+// 4.7 MB (K = 3 at 480x270) are far more than the caches hold, so every
+// apply streams its mixture from memory; BM_GmmApplyTrained keeps one
+// camera's mixture warm and cannot show that cost.
+void BM_GmmApplyFleet(benchmark::State& state) {
+  constexpr int kFleetScenes[] = {1, 5, 10};
+  constexpr std::size_t kFramesPerCamera = 4;
+  const auto cameras = static_cast<std::size_t>(state.range(0));
+  std::vector<vision::GmmBackgroundSubtractor> gmms;
+  gmms.reserve(cameras);
+  std::vector<std::vector<video::Image>> frames(cameras);
+  for (std::size_t c = 0; c < cameras; ++c) {
+    const auto spec = video::panda4k_scene(kFleetScenes[c % 3]);
+    video::SyntheticScene scene(spec);
+    video::RasterConfig raster;
+    raster.seed = 99 + c;
+    video::FrameRasterizer rasterizer(spec.frame, raster);
+    auto& gmm = gmms.emplace_back(rasterizer.analysis_size());
+    for (int f = 0; f < kGmmTrainingFrames; ++f)
+      (void)gmm.apply(rasterizer.render(scene.next_frame()));
+    for (std::size_t f = 0; f < kFramesPerCamera; ++f)
+      frames[c].push_back(rasterizer.render(scene.next_frame()));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t c = i % cameras;
+    auto mask = gmms[c].apply(frames[c][(i / cameras) % kFramesPerCamera]);
+    benchmark::DoNotOptimize(mask.data());
+    benchmark::ClobberMemory();
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          video::RasterConfig{}.analysis.area());
+}
+BENCHMARK(BM_GmmApplyFleet)->Arg(12)->Unit(benchmark::kMillisecond);
+
+// Rendering as a live edge camera does it: PANDA scene `range(0)` at the
+// default 480x270 analysis resolution, cycling the 16 frames that follow the
+// scene's kGmmTrainingFrames-frame training prefix (generated untimed).  Most
+// of the time is the per-pixel sensor noise.
+void BM_Render(benchmark::State& state) {
+  const auto spec = video::panda4k_scene(static_cast<int>(state.range(0)));
+  video::SyntheticScene scene(spec);
+  video::FrameRasterizer rasterizer(spec.frame, video::RasterConfig{});
+  for (int f = 0; f < kGmmTrainingFrames; ++f) (void)scene.next_frame();
+  std::vector<video::FrameTruth> truths;
+  for (int f = 0; f < 16; ++f) truths.push_back(scene.next_frame());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const video::Image frame = rasterizer.render(truths[i % truths.size()]);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          rasterizer.analysis_size().area());
+}
+BENCHMARK(BM_Render)
+    ->Arg(1)
+    ->Arg(5)
+    ->Arg(10)
+    ->Unit(benchmark::kMicrosecond);
+
 // Dilate, label and merge boxes on real GMM masks: PANDA scene `range(0)`
 // at the default 480x270 analysis resolution, after training.
 void BM_ExtractBlobs(benchmark::State& state) {

@@ -15,6 +15,13 @@
 // not share one Rng object across sims or threads — hand each consumer its
 // own seeded instance instead, which is also what keeps results independent
 // of scheduling order.
+//
+// Leapfrogging.  PCG32's state is a 64-bit LCG, so n steps compose into one
+// step state -> state * A + C (Brown, "Random number generation with
+// arbitrary strides", 1994).  A kernel that draws L values per step can run
+// L lanes that each start j draws in and move by the L-step jump: lane j
+// then emits draws j, j + L, j + 2L, ... of the sequential stream, exactly
+// (video/raster.cpp's AVX2 noise pass does this with L = 8).
 
 #pragma once
 
@@ -23,6 +30,27 @@
 #include <numbers>
 
 namespace tangram::common {
+
+// PCG32's LCG multiplier.
+inline constexpr std::uint64_t kPcgMultiplier = 6364136223846793005ULL;
+
+// PCG32's output permutation (XSH-RR): the draw a state yields.
+constexpr std::uint32_t pcg_output(std::uint64_t state) {
+  const auto xorshifted =
+      static_cast<std::uint32_t>(((state >> 18u) ^ state) >> 27u);
+  const auto rot = static_cast<std::uint32_t>(state >> 59u);
+  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+}
+
+// Some number of LCG steps of one stream as a single step.
+struct PcgJump {
+  std::uint64_t multiplier;
+  std::uint64_t increment;
+
+  [[nodiscard]] constexpr std::uint64_t operator()(std::uint64_t state) const {
+    return state * multiplier + increment;
+  }
+};
 
 class Rng {
  public:
@@ -40,11 +68,8 @@ class Rng {
 
   std::uint32_t next_u32() {
     const std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
-    const auto xorshifted =
-        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    const auto rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+    state_ = old * kPcgMultiplier + inc_;
+    return pcg_output(old);
   }
 
   std::uint64_t next_u64() {
@@ -106,6 +131,26 @@ class Rng {
   Rng fork(std::uint64_t salt) {
     return Rng(next_u64() ^ (salt * 0x9e3779b97f4a7c15ULL), next_u64() | 1);
   }
+
+  // ---- Leapfrog (see the file comment) ----
+  // The state the next draw comes from: next_u32() == pcg_output(state()).
+  [[nodiscard]] std::uint64_t state() const { return state_; }
+
+  // The step of `n` draws on this stream, by squaring: O(log n).
+  [[nodiscard]] PcgJump jump(std::uint64_t n) const {
+    PcgJump total{1, 0};
+    PcgJump square{kPcgMultiplier, inc_};
+    for (; n != 0; n >>= 1u) {
+      if ((n & 1u) != 0)
+        total = {total.multiplier * square.multiplier, square(total.increment)};
+      square = {square.multiplier * square.multiplier,
+                (square.multiplier + 1) * square.increment};
+    }
+    return total;
+  }
+
+  // Skip `n` draws: leaves the generator where n next_u32() calls would.
+  void advance(std::uint64_t n) { state_ = jump(n)(state_); }
 
  private:
   // Lemire-style unbiased bounded draw.

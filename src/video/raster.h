@@ -16,6 +16,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/geometry.h"
@@ -71,4 +72,28 @@ class FrameRasterizer {
   common::Rng noise_rng_;
 };
 
+namespace detail {
+
+// The code that adds a frame's sensor noise.  Both paths draw the same PCG
+// values for the same pixels and round them identically.
+enum class NoisePath {
+  kScalar,  // one rng.uniform() per pixel
+  kAvx2,    // 8 pixels per step from 8 leapfrogged PCG lanes, then kScalar
+            // on the pixels after the last multiple of 8
+};
+
+// Whether this build and this CPU can run `path`: kScalar always, kAvx2 on
+// an x86-64 CPU with AVX2.
+[[nodiscard]] bool noise_path_supported(NoisePath path);
+
+// kAvx2 where it is supported, else kScalar.
+[[nodiscard]] NoisePath fastest_noise_path();
+
+// For i in [0, n), in order: px[i] = clamp(px[i] + drift +
+// rng.uniform(-half_width, half_width), 0, 255), truncated.  Leaves `rng`
+// n draws on.  Throws std::invalid_argument unless `path` is supported.
+void add_sensor_noise(std::uint8_t* px, std::size_t n, double drift,
+                      double half_width, common::Rng& rng, NoisePath path);
+
+}  // namespace detail
 }  // namespace tangram::video

@@ -71,6 +71,15 @@ class GmmMixture {
 
   [[nodiscard]] std::size_t frames_seen() const { return frames_seen_; }
 
+  // Component `i` (0 <= i < K, heaviest first) of pixel `px` (< pixels), as
+  // the last frame left it.
+  struct Component {
+    float weight;
+    float mean;
+    float variance;
+  };
+  [[nodiscard]] Component component(std::size_t px, int i) const;
+
   // The parameters, hoisted into the types the update computes in.
   struct Constants {
     float alpha;

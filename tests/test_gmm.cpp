@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,6 +151,18 @@ class ReferenceGmm {
                       static_cast<std::size_t>(params.num_gaussians),
                   Gaussian{0.0f, 0.0f, 0.0f}) {}
 
+  struct Gaussian {
+    float weight;
+    float mean;
+    float variance;
+  };
+
+  // Component `i` of pixel `px`, as the last frame left it.
+  [[nodiscard]] const Gaussian& component(std::size_t px, int i) const {
+    return mixtures_[px * static_cast<std::size_t>(params_.num_gaussians) +
+                     static_cast<std::size_t>(i)];
+  }
+
   video::Mask apply(const video::Image& frame) {
     video::Mask fg(size_.width, size_.height, 0);
     const std::uint8_t* src = frame.data();
@@ -169,12 +184,6 @@ class ReferenceGmm {
   }
 
  private:
-  struct Gaussian {
-    float weight;
-    float mean;
-    float variance;
-  };
-
   bool process_pixel(std::size_t px, double value) {
     const int k = params_.num_gaussians;
     Gaussian* mix = &mixtures_[px * static_cast<std::size_t>(k)];
@@ -328,14 +337,12 @@ std::vector<GmmParams> equivalence_params() {
 
 enum class FrameKind { kRendered, kChurning, kTied };
 
-// One frame sequence under one parameter set, with ReferenceGmm's mask for
-// every frame.
+// One frame sequence under one parameter set.
 struct EquivalenceCase {
   FrameKind kind;
   common::Size size;
   const std::vector<video::Image>* frames;
   GmmParams params;
-  std::vector<video::Mask> want;
 };
 
 // Every rendered and churning frame set x parameter set, plus the tied
@@ -347,22 +354,14 @@ const std::vector<EquivalenceCase>& equivalence_cases() {
   static const std::vector<video::Image> tied = tie_frames(kEquivalenceSize);
   static const std::vector<EquivalenceCase> cases = [] {
     std::vector<EquivalenceCase> all;
-    const auto add = [&all](FrameKind kind, common::Size size,
-                            const std::vector<video::Image>& frames,
-                            const GmmParams& params) {
-      ReferenceGmm reference(size, params);
-      std::vector<video::Mask> want;
-      for (const auto& frame : frames) want.push_back(reference.apply(frame));
-      all.push_back({kind, size, &frames, params, std::move(want)});
-    };
     for (std::size_t set = 0; set < frame_sets.size(); ++set) {
       const FrameKind kind =
           set % 2 == 1 ? FrameKind::kChurning : FrameKind::kRendered;
       const common::Size size = set < 2 ? kEquivalenceSize : kTailSize;
       for (const auto& params : equivalence_params())
-        add(kind, size, frame_sets[set], params);
+        all.push_back({kind, size, &frame_sets[set], params});
     }
-    add(FrameKind::kTied, kEquivalenceSize, tied, tie_params());
+    all.push_back({FrameKind::kTied, kEquivalenceSize, &tied, tie_params()});
     return all;
   }();
   return cases;
@@ -377,24 +376,64 @@ std::string describe(const EquivalenceCase& c) {
   return out.str();
 }
 
+// The first component of `mixture` whose weight, mean or variance differs
+// from the reference's in any bit, described; empty if there is none.  The
+// masks alone would miss a last-bit difference (an FMA contracted into the
+// update, say) that no threshold test happens to straddle.
+std::string state_mismatch(const detail::GmmMixture& mixture,
+                           const ReferenceGmm& reference, std::size_t pixels,
+                           int k) {
+  const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+  for (std::size_t px = 0; px < pixels; ++px) {
+    for (int i = 0; i < k; ++i) {
+      const detail::GmmMixture::Component got = mixture.component(px, i);
+      const ReferenceGmm::Gaussian& want = reference.component(px, i);
+      if (bits(got.weight) != bits(want.weight) ||
+          bits(got.mean) != bits(want.mean) ||
+          bits(got.variance) != bits(want.variance)) {
+        std::ostringstream out;
+        out.precision(9);
+        out << "pixel " << px << " component " << i << ": (weight, mean, "
+            << "variance) = (" << got.weight << ", " << got.mean << ", "
+            << got.variance << "), reference (" << want.weight << ", "
+            << want.mean << ", " << want.variance << ")";
+        return out.str();
+      }
+    }
+  }
+  return {};
+}
+
 // Run case `c` through `apply`, which takes a frame and returns its mask's
-// bytes, and check every mask against the reference; stops at the first
-// mismatch.  K = 1 re-centres its only component on every miss, so it never
-// reports foreground; every other model must have had something to classify
-// on the full-size frames.  (The slow parameter set finds none in the small
+// bytes, beside ReferenceGmm, and check after every frame the mask and, if
+// `mixture` is given, the state it holds; stops at the first mismatch.
+// K = 1 re-centres its only component on every miss, so it never reports
+// foreground; every other model must have had something to classify on the
+// full-size frames.  (The slow parameter set finds none in the small
 // churning frames, so the tail cases are not held to that.)
 template <class Apply>
-void expect_reference_masks(const EquivalenceCase& c, Apply apply) {
+void expect_reference_run(const EquivalenceCase& c, Apply apply,
+                          const detail::GmmMixture* mixture = nullptr) {
+  ReferenceGmm reference(c.size, c.params);
+  const auto pixels = static_cast<std::size_t>(c.size.area());
   std::size_t foreground = 0;
   for (std::size_t f = 0; f < c.frames->size(); ++f) {
-    const video::Mask& want = c.want[f];
-    const std::uint8_t* got = apply((*c.frames)[f]);
-    if (!std::equal(want.data(), want.data() + want.pixel_count(), got)) {
-      ADD_FAILURE() << describe(c) << " frame " << f;
+    const video::Image& frame = (*c.frames)[f];
+    const video::Mask want = reference.apply(frame);
+    const std::uint8_t* got = apply(frame);
+    if (!std::equal(want.data(), want.data() + pixels, got)) {
+      ADD_FAILURE() << describe(c) << " frame " << f << ": masks differ";
       return;
     }
-    foreground += static_cast<std::size_t>(
-        std::count(got, got + want.pixel_count(), 255));
+    if (mixture != nullptr) {
+      const std::string diff = state_mismatch(*mixture, reference, pixels,
+                                              c.params.num_gaussians);
+      if (!diff.empty()) {
+        ADD_FAILURE() << describe(c) << " frame " << f << ": " << diff;
+        return;
+      }
+    }
+    foreground += static_cast<std::size_t>(std::count(got, got + pixels, 255));
   }
   if (c.params.num_gaussians > 1 && c.size == kEquivalenceSize) {
     EXPECT_GT(foreground, 0u) << describe(c);
@@ -406,7 +445,7 @@ TEST(GmmReference, SubtractorMasksMatchPerPixelReference) {
   for (const auto& c : equivalence_cases()) {
     GmmBackgroundSubtractor gmm(c.size, c.params);
     video::Mask mask;
-    expect_reference_masks(c, [&](const video::Image& frame) {
+    expect_reference_run(c, [&](const video::Image& frame) {
       mask = gmm.apply(frame);
       return mask.data();
     });
@@ -416,10 +455,11 @@ TEST(GmmReference, SubtractorMasksMatchPerPixelReference) {
 class GmmLanePackReference
     : public ::testing::TestWithParam<detail::GmmLanePack> {};
 
-// Each lane pack, driven directly, against the per-pixel reference: all K
-// from 1 to 8, a padded last block, weight ties, and -- on the churning
-// frames -- lanes through both the vector and the scalar pass.
-TEST_P(GmmLanePackReference, MasksMatchPerPixelReference) {
+// Each lane pack, driven directly, against the per-pixel reference -- the
+// masks and every component's weight, mean and variance after every frame:
+// all K from 1 to 8, a padded last block, weight ties, and -- on the
+// churning frames -- lanes through both the vector and the scalar pass.
+TEST_P(GmmLanePackReference, MasksAndStateMatchPerPixelReference) {
   const detail::GmmLanePack pack = GetParam();
   if (!detail::gmm_lane_pack_supported(pack))
     GTEST_SKIP() << "lane pack not supported by this build or CPU";
@@ -428,10 +468,13 @@ TEST_P(GmmLanePackReference, MasksMatchPerPixelReference) {
     detail::GmmMixture mixture(pixels, c.params, pack);
     std::vector<std::uint8_t> mask(pixels);
     std::size_t slow_lanes = 0;
-    expect_reference_masks(c, [&](const video::Image& frame) {
-      slow_lanes += mixture.apply(frame.data(), mask.data());
-      return mask.data();
-    });
+    expect_reference_run(
+        c,
+        [&](const video::Image& frame) {
+          slow_lanes += mixture.apply(frame.data(), mask.data());
+          return mask.data();
+        },
+        &mixture);
     const std::size_t updated_lanes = (c.frames->size() - 1) * pixels;
     if (pack == detail::GmmLanePack::kScalar) {
       EXPECT_EQ(slow_lanes, updated_lanes) << describe(c);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace tangram::common {
@@ -145,6 +147,52 @@ TEST(Rng, ConcurrentSameSeedStreamsIdentical) {
   a.join();
   b.join();
   EXPECT_EQ(left, right);
+}
+
+// `n` draws made the way video/raster.cpp's AVX2 noise pass makes them, on
+// scalars: lane j starts at jump(j)(state()), every step emits each lane's
+// pcg_output and moves it by jump(lanes), advance() then skips the draws
+// the lanes made, and next_u32() makes the n % lanes after the last step.
+std::vector<std::uint32_t> leapfrog_draws(Rng& rng, std::size_t n,
+                                          std::size_t lanes) {
+  std::vector<std::uint64_t> lane(lanes);
+  for (std::size_t j = 0; j < lanes; ++j) lane[j] = rng.jump(j)(rng.state());
+  const PcgJump step = rng.jump(lanes);
+  const std::size_t stepped = n - n % lanes;
+  std::vector<std::uint32_t> draws(n);
+  for (std::size_t i = 0; i < stepped; i += lanes) {
+    for (std::size_t j = 0; j < lanes; ++j) {
+      draws[i + j] = pcg_output(lane[j]);
+      lane[j] = step(lane[j]);
+    }
+  }
+  rng.advance(stepped);
+  for (std::size_t i = stepped; i < n; ++i) draws[i] = rng.next_u32();
+  return draws;
+}
+
+TEST(RngLeapfrog, ReproducesSequentialDrawsAndFinalState) {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 0; n <= 17; ++n) counts.push_back(n);
+  counts.push_back(1000);
+  counts.push_back(129603);  // a 480x270 frame plus 3
+  const std::pair<std::uint64_t, std::uint64_t> streams[] = {
+      {0x853c49e6748fea9bULL, 1}, {99, 11}, {2024, 17}, {7, 1ULL << 62}};
+  for (const auto& [seed, stream] : streams) {
+    for (const std::size_t lanes : {std::size_t{8}, std::size_t{3}}) {
+      for (const std::size_t n : counts) {
+        Rng sequential(seed, stream);
+        Rng leapfrog(seed, stream);
+        std::vector<std::uint32_t> want(n);
+        for (auto& draw : want) draw = sequential.next_u32();
+        EXPECT_EQ(leapfrog_draws(leapfrog, n, lanes), want)
+            << "seed " << seed << " lanes " << lanes << " n " << n;
+        EXPECT_EQ(leapfrog.state(), sequential.state())
+            << "seed " << seed << " lanes " << lanes << " n " << n;
+        EXPECT_EQ(leapfrog.next_u32(), sequential.next_u32());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,7 +11,8 @@ hygiene violations that ordinary compilers and clang-tidy do not model:
                           The tree has zero uses today; this rule freezes it.
     raw-rng               std::random_device / std::mt19937 / rand() outside
                           common/rng.h.  All randomness must flow through the
-                          seeded, counter-based common::Rng.
+                          seeded common::Rng (PCG32: a 64-bit LCG with an
+                          output permutation).
     wall-clock            system_clock / steady_clock / high_resolution_clock
                           / gettimeofday / clock_gettime / time() reads.
                           Simulation-visible time comes from sim::Simulator;
