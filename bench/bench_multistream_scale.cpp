@@ -20,10 +20,10 @@
 // the loose class's big batches from occupying every platform instance, so
 // the tight shard's invocations start without queueing.
 //
-// Part 3 — autoscaling: the same reserved-pool fleet under the three
-// AutoscalePolicy variants (static / target-utilization / queue-pressure),
-// reporting per-pool instance peaks, cold starts, and backlog-depth
-// quantiles — the provisioning axis of the BENCH_multistream artifact.
+// Part 3 — autoscaling: the same reserved-pool fleet under static and
+// queue-pressure AutoscalePolicy limits, reporting per-pool instance peaks,
+// cold starts, and backlog-depth quantiles — the provisioning axis of the
+// BENCH_multistream artifact.
 //
 // Part 4 — adaptive rebalancing: the drifting-class-mix fleet.  Every
 // stream registers with per-patch SLOs (the router can't see the classes up
@@ -108,7 +108,7 @@ struct SweepPoint {
 // with the per-pool provisioning telemetry future PRs diff against.
 struct FleetPoint {
   std::string layout;     // "single" | "sharded" | "sharded+reserved"
-  std::string autoscale;  // "static" | "target-util" | "queue-pressure"
+  std::string autoscale;  // "static" | "queue-pressure"
   std::size_t invocations = 0;
   std::size_t tight_done = 0, tight_miss = 0;
   std::size_t loose_done = 0, loose_miss = 0;
@@ -137,7 +137,8 @@ struct RebalancePoint {
 // (reactive or forecast-driven, with or without pre-warming) against one
 // arrival shape of the mixed-SLO fleet.
 struct ForecastPoint {
-  std::string policy;  // "static" | "queue-pressure" | "<forecaster>+prewarm"
+  // "static" | "queue-pressure" | "ewma+prewarm" | "windowed-max+prewarm"
+  std::string policy;
   std::string trace;   // "steady" | "step"
   std::size_t invocations = 0;
   std::size_t tight_done = 0, tight_miss = 0;
@@ -594,19 +595,17 @@ int main(int argc, char** argv) {
          common::Table::num(r.total_cost, 4)});
   };
   // The static leg IS comparison.sharded_reserved (already simulated and
-  // recorded above); only the moving policies need fresh runs.
+  // recorded above); only the moving policy needs a fresh run.
   add_policy_row("static", comparison.sharded_reserved);
   const struct {
     const char* name;
     serverless::AutoscalePolicy policy;
   } policies[] = {
-      {"target-util",
-       serverless::AutoscalePolicy::target_utilization(0.9, 0.3, 0.5, 1)},
       {"queue-pressure",
        serverless::AutoscalePolicy::queue_pressure(2, 0.5, 1)},
   };
-  // The two moving policies are independent cells; run them on the worker
-  // pool like the Part 1 grid.
+  // Moving policies are independent cells; run them on the worker pool like
+  // the Part 1 grid.
   std::vector<experiments::MultiStreamCell> policy_cells;
   for (const auto& entry : policies) {
     experiments::MultiStreamCell cell;
@@ -726,13 +725,6 @@ int main(int argc, char** argv) {
       {"ewma+prewarm",
        [] {
          auto p = serverless::AutoscalePolicy::ewma(0.5, 1, 0.5, 0);
-         p.prewarm = true;
-         return p;
-       }()},
-      {"holt-winters+prewarm",
-       [] {
-         auto p =
-             serverless::AutoscalePolicy::holt_winters(0.5, 0.1, 0.1, 8, 0.5, 0);
          p.prewarm = true;
          return p;
        }()},

@@ -323,8 +323,7 @@ std::vector<Patch>& SloAwareInvoker::release_tail(std::size_t count) {
 }
 
 std::size_t SloAwareInvoker::steal_from(SloAwareInvoker& victim,
-                                        std::size_t max_patches,
-                                        double slack_margin_s) {
+                                        std::size_t max_patches) {
   if (&victim == this || max_patches == 0) return 0;
   // The tentative admission extends this session in queue order; the sorted
   // ablation re-solves in area order on every arrival, so a stolen tail
@@ -346,7 +345,7 @@ std::size_t SloAwareInvoker::steal_from(SloAwareInvoker& victim,
     }
     const double slack = estimator_.slack(session_.canvas_count());
     const bool fits = session_.canvas_count() <= config_.max_canvases;
-    const bool on_time = deadline - slack >= sim_.now() + slack_margin_s;
+    const bool on_time = deadline - slack >= sim_.now();
     if (!fits || !on_time) {
       // Un-admit and retry with a shorter suffix.
       session_.rollback(before);

@@ -196,22 +196,20 @@ class SloAwareInvoker {
   // Work stealing: tentatively admit a suffix of `victim`'s queue (up to
   // max_patches, tail only, so FIFO within the victim is preserved) via this
   // session's checkpoint/rollback, committing only when the whole batch —
-  // current queue plus stolen tail — still meets every deadline here with
-  // slack_margin_s to spare and fits GPU memory.  Tries the longest suffix
-  // first; on commit the victim releases its tail in O(k) (session tail
-  // rollback, no re-solve) and can only gain slack.  The victim always keeps
-  // at least one patch; returns the number stolen (0 = nothing packable,
-  // including either side running the sorted ablation, where tail identity
-  // does not hold).
-  std::size_t steal_from(SloAwareInvoker& victim, std::size_t max_patches,
-                         double slack_margin_s);
+  // current queue plus stolen tail — still meets every deadline here and
+  // fits GPU memory.  Tries the longest suffix first; on commit the victim
+  // releases its tail in O(k) (session tail rollback, no re-solve) and can
+  // only gain slack.  The victim always keeps at least one patch; returns
+  // the number stolen (0 = nothing packable, including either side running
+  // the sorted ablation, where tail identity does not hold).
+  std::size_t steal_from(SloAwareInvoker& victim, std::size_t max_patches);
 
   // Router bookkeeping: a stream was migrated off this shard.
   void record_migration() { ++stats_.migrations; }
 
   [[nodiscard]] std::size_t pending_patches() const { return queue_.size(); }
-  // Read-only FIFO view of the pending queue, for the pool's rebalance /
-  // steal orchestration (victim selection scans patch stream ids).
+  // Read-only FIFO view of the pending queue (which streams' patches this
+  // shard holds, in arrival order).
   [[nodiscard]] const std::vector<Patch>& pending_queue() const {
     return queue_;
   }

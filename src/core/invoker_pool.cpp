@@ -36,9 +36,8 @@ InvokerPool::InvokerPool(sim::Simulator& simulator, StitchSolver solver,
     throw std::invalid_argument("InvokerPool: invoke callback required");
   if (policy_.kind == ShardPolicy::Kind::kHashStream && policy_.hash_shards < 1)
     throw std::invalid_argument("InvokerPool: hash_shards must be >= 1");
-  if (policy_.kind == ShardPolicy::Kind::kCustom && !policy_.key_fn)
-    throw std::invalid_argument("InvokerPool: custom policy needs a key_fn");
-  if (rebalance_.active() && rebalance_.interval_s <= 0.0)
+  // Written as !(> 0) so a NaN interval is rejected too.
+  if (rebalance_.active() && !(rebalance_.interval_s > 0.0))
     throw std::invalid_argument(
         "InvokerPool: rebalance interval_s must be > 0");
   // The legacy layout's one invoker exists from construction; reproduce that
@@ -60,8 +59,6 @@ std::string InvokerPool::key_for(StreamId stream,
       return "hash=" + std::to_string(static_cast<unsigned>(stream) %
                                       static_cast<unsigned>(
                                           policy_.hash_shards));
-    case ShardPolicy::Kind::kCustom:
-      return policy_.key_fn(stream, config);
   }
   throw std::logic_error("InvokerPool: unknown shard policy");
 }
@@ -106,8 +103,8 @@ int InvokerPool::shard_of(StreamId stream) const {
 
 void InvokerPool::submit(StreamId stream, Patch patch) {
   const int shard = shard_of(stream);
-  // Stamp ownership here, not just in TangramSystem: detach_stream and the
-  // load rebalancer identify a stream's pending patches by this field.
+  // Stamp ownership here, not just in TangramSystem: detach_stream
+  // identifies a stream's pending patches by this field.
   patch.stream_id = stream;
   if (rebalance_.kind == RebalancePolicy::Kind::kClassMixDrift) {
     const auto idx = static_cast<std::size_t>(stream);
@@ -133,12 +130,6 @@ void InvokerPool::deregister(StreamId stream) {
   --shard_streams_[static_cast<std::size_t>(shard)];
   if (static_cast<std::size_t>(stream) < drift_.size())
     drift_[static_cast<std::size_t>(stream)] = StreamDrift{};
-}
-
-void InvokerPool::on_patch(int shard, Patch patch) {
-  if (shard < 0 || static_cast<std::size_t>(shard) >= shards_.size())
-    throw std::out_of_range("InvokerPool: unknown shard index");
-  shards_[static_cast<std::size_t>(shard)]->on_patch(std::move(patch));
 }
 
 void InvokerPool::flush() {
@@ -187,43 +178,6 @@ void InvokerPool::migrate_stream(StreamId stream, int to) {
   if (on_migrate_) on_migrate_(stream, from, to);
 }
 
-bool InvokerPool::rebalance_by_load() {
-  if (shards_.size() < 2) return false;
-  std::size_t busiest = 0, idlest = 0;
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
-    if (shards_[i]->pending_patches() > shards_[busiest]->pending_patches())
-      busiest = i;
-    if (shards_[i]->pending_patches() < shards_[idlest]->pending_patches())
-      idlest = i;
-  }
-  const auto heavy = static_cast<double>(shards_[busiest]->pending_patches());
-  const auto light = static_cast<double>(shards_[idlest]->pending_patches());
-  if (shards_[busiest]->pending_patches() < rebalance_.min_backlog)
-    return false;
-  if (heavy <= rebalance_.imbalance_ratio * light) return false;
-  // Moving a shard's only stream would move the whole backlog, not split it.
-  if (shard_streams_[busiest] < 2) return false;
-
-  // Victim stream: the one with the most patches pending on the busiest
-  // shard (ties -> lowest id), counted in one pass over its queue.  Stolen
-  // patches from streams routed elsewhere don't nominate their stream.
-  std::vector<std::size_t> per_stream(stream_shard_.size(), 0);
-  for (const Patch& patch : shards_[busiest]->pending_queue()) {
-    const auto sid = static_cast<std::size_t>(patch.stream_id);
-    if (sid < per_stream.size() &&
-        stream_shard_[sid] == static_cast<int>(busiest))
-      ++per_stream[sid];
-  }
-  std::size_t victim = per_stream.size();
-  for (std::size_t s = 0; s < per_stream.size(); ++s)
-    if (per_stream[s] > 0 &&
-        (victim == per_stream.size() || per_stream[s] > per_stream[victim]))
-      victim = s;
-  if (victim == per_stream.size()) return false;
-  migrate_stream(static_cast<StreamId>(victim), static_cast<int>(idlest));
-  return true;
-}
-
 bool InvokerPool::rebalance_by_drift() {
   bool migrated = false;
   // Ascending stream id: deterministic migration order.  shard_for_key may
@@ -263,8 +217,7 @@ bool InvokerPool::run_steals() {
     if (victim == shards_.size() || depth < rebalance_.steal.min_victim_backlog)
       continue;
     stole |= shards_[thief]->steal_from(*shards_[victim],
-                                        rebalance_.steal.max_patches,
-                                        rebalance_.steal.slack_margin_s) > 0;
+                                        rebalance_.steal.max_patches) > 0;
   }
   return stole;
 }
@@ -274,9 +227,6 @@ void InvokerPool::rebalance_tick() {
   bool acted = false;
   switch (rebalance_.kind) {
     case RebalancePolicy::Kind::kNone:
-      break;
-    case RebalancePolicy::Kind::kLoadThreshold:
-      acted = rebalance_by_load();
       break;
     case RebalancePolicy::Kind::kClassMixDrift:
       acted = rebalance_by_drift();

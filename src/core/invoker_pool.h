@@ -63,39 +63,31 @@ struct ShardPolicy {
     kSingle,       // every stream on one shard (legacy single-invoker layout)
     kPerSloClass,  // one shard per distinct SLO class (the default)
     kHashStream,   // stream id modulo hash_shards
-    kCustom,       // key_fn decides (e.g. shard by expected canvas size)
   };
 
   Kind kind = Kind::kPerSloClass;
   int hash_shards = 4;  // kHashStream only; must be >= 1
-  // kCustom only: distinct returned keys map to distinct shards.
-  std::function<std::string(StreamId, const StreamConfig&)> key_fn;
 
   [[nodiscard]] static ShardPolicy single() {
-    return ShardPolicy{Kind::kSingle, 1, nullptr};
+    return ShardPolicy{Kind::kSingle, 1};
   }
   [[nodiscard]] static ShardPolicy per_slo_class() {
-    return ShardPolicy{Kind::kPerSloClass, 1, nullptr};
+    return ShardPolicy{Kind::kPerSloClass, 1};
   }
   [[nodiscard]] static ShardPolicy hashed(int shards) {
-    return ShardPolicy{Kind::kHashStream, shards, nullptr};
-  }
-  [[nodiscard]] static ShardPolicy custom(
-      std::function<std::string(StreamId, const StreamConfig&)> key_fn) {
-    return ShardPolicy{Kind::kCustom, 1, std::move(key_fn)};
+    return ShardPolicy{Kind::kHashStream, shards};
   }
 };
 
 // Cross-shard work stealing, evaluated on each rebalance tick: every shard
 // with an EMPTY queue steals up to max_patches from the tail of the most
 // backlogged peer (queue depth >= min_victim_backlog), committing only when
-// the stolen suffix still meets every deadline on the thief with
-// slack_margin_s to spare (see SloAwareInvoker::steal_from).
+// the stolen suffix still meets every deadline on the thief (see
+// SloAwareInvoker::steal_from).
 struct StealPolicy {
   bool enabled = false;
   std::size_t min_victim_backlog = 8;
   std::size_t max_patches = 4;
-  double slack_margin_s = 0.0;
 };
 
 // The adaptive re-routing layer on top of the ShardPolicy's registration-time
@@ -106,17 +98,11 @@ struct StealPolicy {
 struct RebalancePolicy {
   enum class Kind {
     kNone,           // route once, forever (legacy behaviour)
-    kLoadThreshold,  // migrate a stream off the most backlogged shard
     kClassMixDrift,  // re-route a stream to its observed per-patch SLO class
   };
 
   Kind kind = Kind::kNone;
   double interval_s = 0.25;  // evaluation cadence (sim-seconds)
-  // kLoadThreshold: act when the deepest shard queue is >= min_backlog AND
-  // more than imbalance_ratio x the shallowest; one stream (the one with the
-  // most pending patches there) migrates to the shallowest shard per tick.
-  double imbalance_ratio = 2.0;
-  std::size_t min_backlog = 8;
   // kClassMixDrift: a stream whose last min_run patches all carried the same
   // SLO class is re-routed to that class's shard (created on demand).
   std::size_t min_run = 4;
@@ -129,16 +115,6 @@ struct RebalancePolicy {
   }
 
   [[nodiscard]] static RebalancePolicy none() { return RebalancePolicy{}; }
-  [[nodiscard]] static RebalancePolicy load_threshold(
-      double imbalance_ratio = 2.0, std::size_t min_backlog = 8,
-      double interval_s = 0.25) {
-    RebalancePolicy policy;
-    policy.kind = Kind::kLoadThreshold;
-    policy.imbalance_ratio = imbalance_ratio;
-    policy.min_backlog = min_backlog;
-    policy.interval_s = interval_s;
-    return policy;
-  }
   [[nodiscard]] static RebalancePolicy class_mix_drift(
       std::size_t min_run = 4, double interval_s = 0.25) {
     RebalancePolicy policy;
@@ -205,10 +181,6 @@ class InvokerPool {
   // unaffected.  The stream id is never reused.
   void deregister(StreamId stream);
 
-  // Feed a patch to the shard previously returned by route().  Legacy
-  // shard-addressed entry; bypasses the rebalancer's stream routing table.
-  void on_patch(int shard, Patch patch);
-
   // Force-invoke pending work on every shard, in shard-index order (creation
   // order, so multi-shard flushes are deterministic).
   void flush();
@@ -255,7 +227,6 @@ class InvokerPool {
   // --- rebalancing layer -----------------------------------------------------
   void maybe_arm_rebalancer();  // no-op unless a policy is active
   void rebalance_tick();
-  bool rebalance_by_load();   // kLoadThreshold; true if a stream migrated
   bool rebalance_by_drift();  // kClassMixDrift; true if a stream migrated
   bool run_steals();          // StealPolicy; true if any patch moved
   void migrate_stream(StreamId stream, int to);

@@ -8,17 +8,6 @@ namespace tangram::serverless::forecast {
 
 namespace {
 
-// Copy the finite observations of `series`, in order.  NaN/inf entries are
-// dropped: a corrupted sample must not poison every later forecast through
-// the recurrences.
-std::vector<double> finite_of(std::span<const double> series) {
-  std::vector<double> clean;
-  clean.reserve(series.size());
-  for (const double x : series)
-    if (std::isfinite(x)) clean.push_back(x);
-  return clean;
-}
-
 void check_alpha(double alpha) {
   if (!(alpha > 0.0) || alpha > 1.0)
     throw std::invalid_argument("forecast: alpha must be in (0, 1]");
@@ -40,61 +29,6 @@ double ewma(std::span<const double> series, double alpha) {
     }
   }
   return seeded ? std::max(0.0, level) : 0.0;
-}
-
-double holt_winters(std::span<const double> series, double alpha, double beta,
-                    double gamma, std::size_t period, std::size_t horizon) {
-  check_alpha(alpha);
-  if (beta < 0.0 || beta > 1.0 || gamma < 0.0 || gamma > 1.0)
-    throw std::invalid_argument("forecast: beta/gamma must be in [0, 1]");
-  if (period < 1) throw std::invalid_argument("forecast: period must be >= 1");
-  if (horizon < 1)
-    throw std::invalid_argument("forecast: horizon must be >= 1");
-
-  const std::vector<double> x = finite_of(series);
-  const std::size_t n = x.size();
-  if (n == 0) return 0.0;
-
-  if (n < 2 * period) {
-    // Holt's linear fallback: not enough history to estimate a seasonal
-    // profile, so track level + trend only.
-    double level = x[0];
-    double trend = 0.0;
-    for (std::size_t t = 1; t < n; ++t) {
-      const double prev_level = level;
-      level = alpha * x[t] + (1.0 - alpha) * (level + trend);
-      trend = beta * (level - prev_level) + (1.0 - beta) * trend;
-    }
-    return std::max(0.0, level + static_cast<double>(horizon) * trend);
-  }
-
-  // Standard additive initialisation from the first two periods: level =
-  // mean of period 1, trend = per-step drift between the period means,
-  // season = deviation of each first-period observation from its mean.
-  double mean1 = 0.0;
-  double mean2 = 0.0;
-  for (std::size_t i = 0; i < period; ++i) {
-    mean1 += x[i];
-    mean2 += x[period + i];
-  }
-  mean1 /= static_cast<double>(period);
-  mean2 /= static_cast<double>(period);
-  double level = mean1;
-  double trend = (mean2 - mean1) / static_cast<double>(period);
-  std::vector<double> season(period);
-  for (std::size_t i = 0; i < period; ++i) season[i] = x[i] - mean1;
-
-  for (std::size_t t = period; t < n; ++t) {
-    const std::size_t s = t % period;
-    const double prev_level = level;
-    level = alpha * (x[t] - season[s]) + (1.0 - alpha) * (level + trend);
-    trend = beta * (level - prev_level) + (1.0 - beta) * trend;
-    season[s] = gamma * (x[t] - level) + (1.0 - gamma) * season[s];
-  }
-
-  const double seasonal = season[(n + horizon - 1) % period];
-  return std::max(0.0,
-                  level + static_cast<double>(horizon) * trend + seasonal);
 }
 
 double windowed_max(std::span<const double> series, std::size_t window) {

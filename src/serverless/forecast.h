@@ -2,25 +2,21 @@
 // demand history, separately testable from the platform that feeds them.
 //
 // Each estimator consumes the per-pool demand series the autoscaler records
-// (one observation per tick) and predicts demand `horizon` ticks ahead:
+// (one observation per tick) and predicts the demand ahead of it:
 //
 //  * ewma            — exponentially weighted moving average; the flat
 //                      forecast of a level-only series.  Reacts in O(1/alpha)
 //                      ticks, never anticipates trends.
-//  * holt_winters    — additive Holt-Winters (level + trend + seasonal).
-//                      Built for the diurnal/rush-hour traces: once it has
-//                      seen two full periods it projects the NEXT wave, not
-//                      just the current one.  Falls back to Holt's linear
-//                      (level + trend) method while the series is shorter
-//                      than two periods.
 //  * windowed_max    — max over the trailing window; the conservative
 //                      "provision for the recent peak" rule.  Never
 //                      under-provisions relative to the window, never reacts
 //                      to transient dips.
 //
-// Conventions shared by all three: an empty series forecasts 0 (a pool that
-// has never seen demand needs nothing); non-finite observations (NaN/inf)
-// are skipped rather than poisoning the recurrences; forecasts are clamped
+// Both are flat forecasts: the prediction is the same at every horizon, so
+// the horizon only matters when scoring them with accuracy().  Conventions
+// shared by both: an empty series forecasts 0 (a pool that has never seen
+// demand needs nothing); non-finite observations (NaN/inf) are skipped
+// rather than poisoning every later forecast; forecasts are clamped
 // to >= 0 (negative demand is meaningless); evaluation is deterministic and
 // side-effect free.
 
@@ -28,7 +24,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace tangram::serverless::forecast {
 
@@ -36,15 +31,6 @@ namespace tangram::serverless::forecast {
 // observation exactly).  The EWMA forecast is flat: the same level is the
 // prediction at every horizon.
 [[nodiscard]] double ewma(std::span<const double> series, double alpha);
-
-// Additive Holt-Winters forecast `horizon` steps past the end of `series`,
-// with seasonal period `period` (in ticks).  Requires alpha in (0, 1],
-// beta/gamma in [0, 1], period >= 1, horizon >= 1.  With fewer than two
-// full periods observed, falls back to Holt's linear method (level +
-// trend, no seasonal term).
-[[nodiscard]] double holt_winters(std::span<const double> series,
-                                  double alpha, double beta, double gamma,
-                                  std::size_t period, std::size_t horizon);
 
 // Maximum over the trailing `window` observations (window >= 1).
 [[nodiscard]] double windowed_max(std::span<const double> series,

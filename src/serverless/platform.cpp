@@ -52,24 +52,18 @@ FunctionPlatform::FunctionPlatform(sim::Simulator& simulator,
       cold_start_setup_(config.telemetry_reservoir) {
   if (config_.max_instances < 1)
     throw std::invalid_argument("FunctionPlatform: max_instances must be >=1");
-  if (config_.autoscale.kind != AutoscalePolicy::Kind::kStatic &&
-      config_.autoscale.interval_s <= 0.0)
+  const AutoscalePolicy& scale = config_.autoscale;
+  // Written as !(> 0) so a NaN interval is rejected too.
+  if (scale.kind != AutoscalePolicy::Kind::kStatic && !(scale.interval_s > 0.0))
     throw std::invalid_argument(
         "FunctionPlatform: autoscale interval_s must be > 0");
-  if (config_.autoscale.step < 1)
-    throw std::invalid_argument("FunctionPlatform: autoscale step must be >=1");
-  const AutoscalePolicy& scale = config_.autoscale;
   if (scale.forecasting()) {
     if (!(scale.alpha > 0.0) || scale.alpha > 1.0)
       throw std::invalid_argument(
           "FunctionPlatform: autoscale alpha must be in (0, 1]");
-    if (scale.beta < 0.0 || scale.beta > 1.0 || scale.gamma < 0.0 ||
-        scale.gamma > 1.0)
+    if (scale.horizon < 1 || scale.window < 1)
       throw std::invalid_argument(
-          "FunctionPlatform: autoscale beta/gamma must be in [0, 1]");
-    if (scale.period < 1 || scale.horizon < 1 || scale.window < 1)
-      throw std::invalid_argument(
-          "FunctionPlatform: autoscale period/horizon/window must be >= 1");
+          "FunctionPlatform: autoscale horizon/window must be >= 1");
     if (scale.headroom < 0)
       throw std::invalid_argument(
           "FunctionPlatform: autoscale headroom must be >= 0");
@@ -476,27 +470,15 @@ int FunctionPlatform::autoscale_decision(const Pool& pool) const {
   switch (policy.kind) {
     case AutoscalePolicy::Kind::kStatic:
       return limit;
-    case AutoscalePolicy::Kind::kTargetUtilization: {
-      const double utilization = static_cast<double>(pool.in_use) /
-                                 static_cast<double>(std::max(1, limit));
-      if (utilization >= policy.scale_up_utilization ||
-          !pool.queue.empty()) {
-        limit += policy.step;
-      } else if (utilization <= policy.scale_down_utilization) {
-        limit -= policy.step;
-      }
-      break;
-    }
     case AutoscalePolicy::Kind::kQueuePressure: {
       if (pool.queue.size() >= policy.backlog_scale_up) {
-        limit += policy.step;
+        ++limit;
       } else if (pool.queue.empty() && pool.in_use < limit) {
-        limit -= policy.step;
+        --limit;
       }
       break;
     }
     case AutoscalePolicy::Kind::kEwma:
-    case AutoscalePolicy::Kind::kHoltWinters:
     case AutoscalePolicy::Kind::kWindowedMax:
       // Forecast kinds are decided in autoscale_tick() from the value
       // observe_and_forecast() just recorded.
@@ -525,17 +507,10 @@ double FunctionPlatform::observe_and_forecast(Pool& pool) {
     case AutoscalePolicy::Kind::kEwma:
       predicted = forecast::ewma(pool.demand_history, policy.alpha);
       break;
-    case AutoscalePolicy::Kind::kHoltWinters:
-      predicted =
-          forecast::holt_winters(pool.demand_history, policy.alpha,
-                                 policy.beta, policy.gamma, policy.period,
-                                 policy.horizon);
-      break;
     case AutoscalePolicy::Kind::kWindowedMax:
       predicted = forecast::windowed_max(pool.demand_history, policy.window);
       break;
     case AutoscalePolicy::Kind::kStatic:
-    case AutoscalePolicy::Kind::kTargetUtilization:
     case AutoscalePolicy::Kind::kQueuePressure:
       break;  // non-forecast kinds never reach here
   }
@@ -662,19 +637,19 @@ void FunctionPlatform::autoscale_tick() {
   // A pre-warming forecaster additionally ticks while it still predicts
   // demand: holding capacity warm across an idle valley ahead of the next
   // wave is the action the forecast exists for.  Termination stays
-  // guaranteed by the idle-tick budget — Holt-Winters' seasonal memory can
-  // predict the next wave indefinitely, so after two silent periods (or
-  // windows) of idle ticks the workload is treated as over and the timer
-  // is allowed to stop.  A tick is idle when it saw no demand, or when its
-  // only demand is a backlog that cannot start with nothing in flight: then
-  // other pools' reservations cover the whole fleet, and that never ends.
+  // guaranteed by the idle-tick budget — an EWMA decays toward zero only
+  // geometrically, and a starved backlog keeps the observed demand above
+  // zero forever — so after two windows of idle ticks the workload is
+  // treated as over and the timer is allowed to stop.  A tick is idle when
+  // it saw no demand, or when its only demand is a backlog that cannot
+  // start with nothing in flight: then other pools' reservations cover the
+  // whole fleet, and that never ends.
   const bool progressed = limits_moved || queued_ != backlog_before;
   const bool starved = total_in_use_ == 0 && queued_ > 0 && !progressed;
   idle_ticks_ = saw_demand && !starved ? 0 : idle_ticks_ + 1;
   bool predicts_demand = false;
   if (forecasting && config_.autoscale.prewarm &&
-      idle_ticks_ <= 2 * std::max(config_.autoscale.period,
-                                  config_.autoscale.window))
+      idle_ticks_ <= 2 * config_.autoscale.window)
     for (const Pool& pool : pools_)
       predicts_demand |=
           !pool.forecast_history.empty() &&

@@ -51,10 +51,9 @@
 // limit on a repeating sim-timer (between max(1, reserved) and the pool's
 // burst_limit): kStatic never moves it (and schedules no timer, so the
 // default configuration is event-for-event identical to the pre-pool
-// platform), kTargetUtilization tracks in_use/limit against scale-up/-down
-// thresholds, kQueuePressure reacts to per-pool backlog depth.  Every tick
-// appends an AutoscaleSample per pool, giving instance-count dynamics as a
-// time series.
+// platform), kQueuePressure reacts to per-pool backlog depth, and the
+// forecast kinds provision a demand forecast.  Every tick appends an
+// AutoscaleSample per pool, giving instance-count dynamics as a time series.
 
 #pragma once
 
@@ -115,46 +114,40 @@ struct CapacityPoolConfig {
 // self-stopping: it re-arms only while instances are busy or requests are
 // backlogged, so a run() that drains the workload terminates).
 //
-// The forecast-driven kinds (kEwma / kHoltWinters / kWindowedMax, see
-// serverless/forecast.h) record per-pool demand = serving instances +
-// backlog at every tick and set the pool's limit to the forecast `horizon`
-// ticks ahead.  With `prewarm` enabled they additionally boot instances
-// AHEAD of the predicted wave, so cold-start setup is paid before arrivals
-// land; pre-warm boots are billed by setup duration (resource_rate, no
-// per-request fee), attributed separately in pool telemetry, and never
-// counted in cold_starts().
+// The forecast-driven kinds (kEwma / kWindowedMax, see serverless/forecast.h)
+// record per-pool demand = serving instances + backlog at every tick and set
+// the pool's limit to the forecast.  With `prewarm` enabled they
+// additionally boot instances AHEAD of the predicted wave, so cold-start
+// setup is paid before arrivals land; pre-warm boots are billed by setup
+// duration (resource_rate, no per-request fee), attributed separately in
+// pool telemetry, and never counted in cold_starts().
 struct AutoscalePolicy {
   enum class Kind {
-    kStatic,             // limits never move; NO timer is scheduled
-    kTargetUtilization,  // track in_use/limit against utilization thresholds
-    kQueuePressure,      // react to per-pool backlog depth
-    kEwma,               // limit = EWMA demand forecast
-    kHoltWinters,        // limit = additive Holt-Winters demand forecast
-    kWindowedMax,        // limit = trailing-window peak demand
+    kStatic,         // limits never move; NO timer is scheduled
+    kQueuePressure,  // react to per-pool backlog depth
+    kEwma,           // limit = EWMA demand forecast
+    kWindowedMax,    // limit = trailing-window peak demand
   };
 
   Kind kind = Kind::kStatic;
   double interval_s = 0.5;  // evaluation period (must be > 0 when non-static)
-  // kTargetUtilization: scale up when in_use/limit >= up, down when <= down
-  // (and nothing is backlogged).
-  double scale_up_utilization = 0.90;
-  double scale_down_utilization = 0.30;
-  // kQueuePressure: scale up when the pool's backlog >= this many requests;
-  // scale down when the backlog is empty and the pool has idle headroom.
+  // kQueuePressure: raise the limit by one when the pool's backlog >= this
+  // many requests; lower it by one when the backlog is empty and the pool
+  // has idle headroom.
   std::size_t backlog_scale_up = 1;
-  int step = 1;           // instances added/removed per decision
   // Starting limit for every pool: 0 = the pool's burst_limit (so kStatic
   // reproduces the fixed-capacity platform); otherwise clamped to
   // [max(1, reserved), burst_limit].
   int initial_limit = 0;
 
   // --- forecast-driven kinds only -------------------------------------------
-  double alpha = 0.5;        // level smoothing, (0, 1]
-  double beta = 0.1;         // trend smoothing (Holt-Winters), [0, 1]
-  double gamma = 0.1;        // seasonal smoothing (Holt-Winters), [0, 1]
-  std::size_t period = 8;    // seasonal period in ticks (Holt-Winters)
-  std::size_t horizon = 1;   // ticks ahead the forecast targets
-  std::size_t window = 8;    // trailing window in ticks (kWindowedMax)
+  double alpha = 0.5;  // level smoothing (kEwma), (0, 1]
+  // Ticks ahead the forecast targets.  Both forecasters are flat, so it moves
+  // no limit; it is the offset forecast::accuracy() scores predictions at.
+  std::size_t horizon = 1;
+  // Trailing window in ticks (kWindowedMax); also sizes the pre-warm
+  // idle-tick budget of every forecast kind.
+  std::size_t window = 8;
   // Default spare instances provisioned above the point forecast when
   // actuating pool limits (forecast kinds only); pools override it with
   // CapacityPoolConfig::forecast_headroom.  Limits are free until used, so
@@ -165,22 +158,10 @@ struct AutoscalePolicy {
   bool prewarm = false;
 
   [[nodiscard]] bool forecasting() const {
-    return kind == Kind::kEwma || kind == Kind::kHoltWinters ||
-           kind == Kind::kWindowedMax;
+    return kind == Kind::kEwma || kind == Kind::kWindowedMax;
   }
 
   [[nodiscard]] static AutoscalePolicy static_policy() { return {}; }
-  [[nodiscard]] static AutoscalePolicy target_utilization(
-      double up = 0.90, double down = 0.30, double interval_s = 0.5,
-      int initial_limit = 1) {
-    AutoscalePolicy p;
-    p.kind = Kind::kTargetUtilization;
-    p.scale_up_utilization = up;
-    p.scale_down_utilization = down;
-    p.interval_s = interval_s;
-    p.initial_limit = initial_limit;
-    return p;
-  }
   [[nodiscard]] static AutoscalePolicy queue_pressure(
       std::size_t backlog_high = 1, double interval_s = 0.5,
       int initial_limit = 1) {
@@ -199,22 +180,6 @@ struct AutoscalePolicy {
     p.kind = Kind::kEwma;
     p.alpha = alpha;
     p.horizon = horizon;
-    p.interval_s = interval_s;
-    p.initial_limit = initial_limit;
-    return p;
-  }
-  [[nodiscard]] static AutoscalePolicy holt_winters(double alpha = 0.5,
-                                                    double beta = 0.1,
-                                                    double gamma = 0.1,
-                                                    std::size_t period = 8,
-                                                    double interval_s = 0.5,
-                                                    int initial_limit = 1) {
-    AutoscalePolicy p;
-    p.kind = Kind::kHoltWinters;
-    p.alpha = alpha;
-    p.beta = beta;
-    p.gamma = gamma;
-    p.period = period;
     p.interval_s = interval_s;
     p.initial_limit = initial_limit;
     return p;

@@ -208,10 +208,12 @@ class Simulator {
     return EventHandle{this, slot, s.generation};
   }
 
-  // Schedule `fn` to run `delay` seconds from now.
+  // Schedule `fn` to run `delay` seconds from now.  A negative delay means
+  // now; a NaN delay throws, as a NaN time does in schedule_at.
   template <typename Fn>
   TANGRAM_HOT_PATH EventHandle schedule_in(Duration delay, Fn&& fn) {
-    return schedule_at(now_ + std::max(0.0, delay), std::forward<Fn>(fn));
+    return schedule_at(now_ + (delay < 0.0 ? 0.0 : delay),
+                       std::forward<Fn>(fn));
   }
 
   // Re-arm a pending event in place: new firing time, fresh tie-break

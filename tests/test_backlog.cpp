@@ -248,9 +248,9 @@ class ReferencePlatform {
             std::max(1, pool.reserved), pool.burst_limit);
       } else {
         if (pool.backlogged >= policy.backlog_scale_up) {
-          next += policy.step;
+          ++next;
         } else if (pool.backlogged == 0 && pool.in_use < next) {
-          next -= policy.step;
+          --next;
         }
         next = std::clamp(next, std::max(1, pool.reserved), pool.burst_limit);
       }
@@ -264,8 +264,7 @@ class ReferencePlatform {
     const bool starved = total_in_use_ == 0 && !backlog_.empty() && !progressed;
     idle_ticks_ = saw_demand && !starved ? 0 : idle_ticks_ + 1;
     bool predicts_demand = false;
-    if (forecasting && policy.prewarm &&
-        idle_ticks_ <= 2 * std::max(policy.period, policy.window))
+    if (forecasting && policy.prewarm && idle_ticks_ <= 2 * policy.window)
       for (const Pool& pool : pools_)
         predicts_demand |=
             !pool.forecast_history.empty() &&

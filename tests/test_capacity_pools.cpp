@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -308,6 +309,7 @@ TEST(Autoscale, QueuePressureGrowsLimitUntilBacklogDrains) {
   int peak_limit = 0;
   for (const auto& s : tele.series) peak_limit = std::max(peak_limit, s.limit);
   EXPECT_GT(peak_limit, 1);
+  EXPECT_LE(peak_limit, config.max_instances);  // never past the burst cap
   EXPECT_GT(tele.peak_in_use, 1);
   // ...and ticks stop once the platform idles (sim.run() returned, QED), with
   // samples spaced by the configured interval.
@@ -315,33 +317,6 @@ TEST(Autoscale, QueuePressureGrowsLimitUntilBacklogDrains) {
     EXPECT_NEAR(tele.series[i].time - tele.series[i - 1].time, 0.05, 1e-9);
   // Scale-down on the way out: the final limit is below the peak.
   EXPECT_LT(tele.limit, peak_limit);
-}
-
-TEST(Autoscale, TargetUtilizationTracksLoad) {
-  sim::Simulator sim;
-  PlatformConfig config = base_config();
-  config.max_instances = 8;
-  config.cold_start_s = 0.0;
-  config.autoscale = AutoscalePolicy::target_utilization(
-      /*up=*/0.9, /*down=*/0.3, /*interval_s=*/0.05, /*initial_limit=*/1);
-  FunctionPlatform platform(sim, config, deterministic_latency());
-
-  int done = 0;
-  for (int i = 0; i < 8; ++i) {
-    sim.schedule_at(0.02 * i, [&] {
-      platform.invoke(canvases(3), [&](const InvocationRecord&) { ++done; });
-    });
-  }
-  sim.run();
-  EXPECT_EQ(done, 8);
-  const PoolTelemetry tele = platform.pool_telemetry(0);
-  ASSERT_FALSE(tele.series.empty());
-  int peak_limit = 0;
-  for (const auto& s : tele.series) peak_limit = std::max(peak_limit, s.limit);
-  EXPECT_GT(peak_limit, 1);          // saturated: scaled up
-  EXPECT_LE(peak_limit, 8);          // never past the burst cap
-  EXPECT_LT(tele.limit, peak_limit); // idle tail: scaled back down
-  EXPECT_GE(tele.limit, 1);          // never below the floor
 }
 
 TEST(Autoscale, StaticPolicyRecordsNoSeries) {
@@ -357,15 +332,13 @@ TEST(Autoscale, TerminatesOnPermanentlyStarvedBacklog) {
   // never start.  No autoscaler may keep ticking forever over that fixed
   // point — sim.run() has to terminate with the request still queued.  A
   // pre-warming forecaster counts the starved backlog as demand, so only the
-  // idle-tick budget (two windows / periods of ticks) can stop it.
+  // idle-tick budget (two windows of ticks) can stop it.
   const std::vector<std::pair<const char*, AutoscalePolicy>> policies = {
       {"queue_pressure", AutoscalePolicy::queue_pressure(/*backlog_high=*/1,
                                                          /*interval_s=*/0.05,
                                                          /*initial_limit=*/1)},
       {"windowed_max", AutoscalePolicy::windowed_max(8, 0.05, 1)},
       {"ewma", AutoscalePolicy::ewma(0.5, 1, 0.05, 1)},
-      {"holt_winters",
-       AutoscalePolicy::holt_winters(0.5, 0.1, 0.1, 8, 0.05, 1)},
   };
   for (const auto& [name, policy] : policies) {
     sim::Simulator sim;
@@ -382,8 +355,7 @@ TEST(Autoscale, TerminatesOnPermanentlyStarvedBacklog) {
     sim.run();  // must return
     EXPECT_FALSE(completed) << name;
     EXPECT_EQ(platform.queued_requests(), 1u) << name;
-    EXPECT_LE(platform.pool_telemetry(0).series.size(),
-              2 * std::max(policy.period, policy.window) + 1)
+    EXPECT_LE(platform.pool_telemetry(0).series.size(), 2 * policy.window + 1)
         << name;
     // A later reserved-pool invocation re-arms the world and completes.
     platform.invoke(canvases(1), "owns-everything", nullptr);
@@ -404,14 +376,33 @@ TEST(Autoscale, PrewarmRequiresAForecastPolicy) {
   EXPECT_NO_THROW({ FunctionPlatform platform(sim, config); });
 }
 
+TEST(Autoscale, RejectsNonPositiveOrNanInterval) {
+  // A NaN interval would re-arm the autoscaler at the current instant
+  // forever, so it is rejected with the non-positive ones.
+  sim::Simulator sim;
+  PlatformConfig config = base_config();
+  for (const double interval :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    config.autoscale = AutoscalePolicy::queue_pressure(1, interval, 1);
+    EXPECT_THROW({ FunctionPlatform platform(sim, config); },
+                 std::invalid_argument)
+        << interval;
+  }
+  // kStatic never arms the timer, so it never reads the interval.
+  config.autoscale = AutoscalePolicy::static_policy();
+  config.autoscale.interval_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NO_THROW({ FunctionPlatform platform(sim, config); });
+}
+
 TEST(Autoscale, LimitNeverDropsBelowReservation) {
   sim::Simulator sim;
   PlatformConfig config = base_config();
   config.max_instances = 8;
   config.cold_start_s = 0.0;
   config.pools.push_back({"tight", 3, -1});
-  config.autoscale = AutoscalePolicy::target_utilization(
-      /*up=*/0.9, /*down=*/0.5, /*interval_s=*/0.05, /*initial_limit=*/8);
+  config.autoscale = AutoscalePolicy::queue_pressure(/*backlog_high=*/1,
+                                                     /*interval_s=*/0.05,
+                                                     /*initial_limit=*/8);
   FunctionPlatform platform(sim, config, deterministic_latency());
 
   int done = 0;

@@ -63,102 +63,6 @@ TEST(Ewma, InvalidAlphaThrows) {
   EXPECT_THROW((void)ewma(series, kNan), std::invalid_argument);
 }
 
-// --- Holt-Winters ------------------------------------------------------------
-
-// Hand-rolled additive Holt-Winters, written independently of the
-// implementation's loop structure.
-double reference_holt_winters(const std::vector<double>& x, double alpha,
-                              double beta, double gamma, std::size_t period,
-                              std::size_t horizon) {
-  const std::size_t n = x.size();
-  double mean1 = 0.0, mean2 = 0.0;
-  for (std::size_t i = 0; i < period; ++i) {
-    mean1 += x[i] / static_cast<double>(period);
-    mean2 += x[period + i] / static_cast<double>(period);
-  }
-  double level = mean1;
-  double trend = (mean2 - mean1) / static_cast<double>(period);
-  std::vector<double> season;
-  for (std::size_t i = 0; i < period; ++i) season.push_back(x[i] - mean1);
-  for (std::size_t t = period; t < n; ++t) {
-    const double prev = level;
-    const std::size_t s = t % period;
-    level = alpha * (x[t] - season[s]) + (1.0 - alpha) * (level + trend);
-    trend = beta * (level - prev) + (1.0 - beta) * trend;
-    season[s] = gamma * (x[t] - level) + (1.0 - gamma) * season[s];
-  }
-  const double f = level + static_cast<double>(horizon) * trend +
-                   season[(n + horizon - 1) % period];
-  return f < 0.0 ? 0.0 : f;
-}
-
-TEST(HoltWinters, MatchesHandRolledRecurrence) {
-  // Three full periods of a seasonal + trending signal.
-  std::vector<double> x;
-  for (int t = 0; t < 12; ++t)
-    x.push_back(5.0 + 0.25 * t + (t % 4 == 0 ? 3.0 : (t % 4 == 2 ? -2.0 : 0.0)));
-  for (const std::size_t horizon : {1u, 2u, 4u}) {
-    EXPECT_DOUBLE_EQ(holt_winters(x, 0.5, 0.2, 0.3, 4, horizon),
-                     reference_holt_winters(x, 0.5, 0.2, 0.3, 4, horizon))
-        << "horizon=" << horizon;
-  }
-}
-
-TEST(HoltWinters, TracksAPureSeasonalSignalAfterTwoPeriods) {
-  // Period-4 square-ish wave, no trend, no noise: with several periods of
-  // history the forecast for the next step should be close to the true next
-  // value — the property pre-warming depends on.
-  const std::vector<double> wave{1, 1, 6, 6};
-  std::vector<double> x;
-  for (int rep = 0; rep < 6; ++rep)
-    for (const double v : wave) x.push_back(v);
-  // Next value (t = 24) is wave[0] = 1; two steps out is wave[1] = 1; three
-  // out is wave[2] = 6.
-  EXPECT_NEAR(holt_winters(x, 0.3, 0.05, 0.4, 4, 1), 1.0, 0.75);
-  EXPECT_NEAR(holt_winters(x, 0.3, 0.05, 0.4, 4, 3), 6.0, 0.75);
-}
-
-TEST(HoltWinters, ShortSeriesFallsBackToHoltLinear) {
-  // 5 observations < 2 * period(4): Holt's linear method (level + trend).
-  const std::vector<double> x{2.0, 4.0, 6.0, 8.0, 10.0};
-  const double alpha = 0.8, beta = 0.5;
-  double level = x[0], trend = 0.0;
-  for (std::size_t t = 1; t < x.size(); ++t) {
-    const double prev = level;
-    level = alpha * x[t] + (1.0 - alpha) * (level + trend);
-    trend = beta * (level - prev) + (1.0 - beta) * trend;
-  }
-  EXPECT_DOUBLE_EQ(holt_winters(x, alpha, beta, 0.1, 4, 2),
-                   level + 2.0 * trend);
-}
-
-TEST(HoltWinters, EmptyAndColdStartEdgeCases) {
-  EXPECT_EQ(holt_winters({}, 0.5, 0.1, 0.1, 4, 1), 0.0);
-  const std::vector<double> one{3.0};
-  EXPECT_DOUBLE_EQ(holt_winters(one, 0.5, 0.1, 0.1, 4, 1), 3.0);
-  // All-NaN series is an empty series after filtering.
-  const std::vector<double> nans{kNan, kNan};
-  EXPECT_EQ(holt_winters(nans, 0.5, 0.1, 0.1, 4, 1), 0.0);
-}
-
-TEST(HoltWinters, ForecastIsClampedNonNegative) {
-  // Strong downward trend extrapolated far out would go negative.
-  const std::vector<double> x{10.0, 8.0, 6.0, 4.0, 2.0};
-  EXPECT_EQ(holt_winters(x, 1.0, 1.0, 0.0, 2, 50), 0.0);
-}
-
-TEST(HoltWinters, InvalidParametersThrow) {
-  const std::vector<double> x{1.0, 2.0};
-  EXPECT_THROW((void)holt_winters(x, 0.5, -0.1, 0.1, 4, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)holt_winters(x, 0.5, 0.1, 1.1, 4, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)holt_winters(x, 0.5, 0.1, 0.1, 0, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)holt_winters(x, 0.5, 0.1, 0.1, 4, 0),
-               std::invalid_argument);
-}
-
 // --- windowed max ------------------------------------------------------------
 
 TEST(WindowedMax, TakesTheTrailingWindowPeak) {
@@ -199,11 +103,9 @@ TEST(Forecast, RepeatedEvaluationIsDeterministic) {
   for (int t = 0; t < 64; ++t)
     x.push_back(std::sin(0.37 * t) * 3.0 + 4.0 + (t % 8));
   const double e = ewma(x, 0.42);
-  const double h = holt_winters(x, 0.42, 0.13, 0.27, 8, 3);
   const double w = windowed_max(x, 11);
   for (int rep = 0; rep < 10; ++rep) {
     EXPECT_EQ(ewma(x, 0.42), e);
-    EXPECT_EQ(holt_winters(x, 0.42, 0.13, 0.27, 8, 3), h);
     EXPECT_EQ(windowed_max(x, 11), w);
   }
 }

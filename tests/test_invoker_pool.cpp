@@ -82,16 +82,6 @@ TEST(InvokerPool, HashPolicySpreadsStreamsAcrossShards) {
   EXPECT_EQ(f.pool->shard_count(), 2u);
 }
 
-TEST(InvokerPool, CustomPolicyUsesKeyFn) {
-  PoolFixture f(ShardPolicy::custom([](StreamId, const StreamConfig& c) {
-    return c.name.substr(0, 1);  // shard by name prefix
-  }));
-  EXPECT_EQ(f.pool->route(0, {"north", 1.0}), 0);
-  EXPECT_EQ(f.pool->route(1, {"south", 1.0}), 1);
-  EXPECT_EQ(f.pool->route(2, {"nw", 2.0}), 0);
-  EXPECT_EQ(f.pool->shard_key(1), "s");
-}
-
 TEST(InvokerPool, RejectsBadConstruction) {
   sim::Simulator sim;
   auto model = deterministic_model();
@@ -103,16 +93,13 @@ TEST(InvokerPool, RejectsBadConstruction) {
   EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
                            ShardPolicy::hashed(0), [](int, Batch&&) {}),
                std::invalid_argument);
-  EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
-                           ShardPolicy::custom(nullptr), [](int, Batch&&) {}),
-               std::invalid_argument);
 }
 
-TEST(InvokerPool, OnPatchRejectsUnknownShard) {
+TEST(InvokerPool, SubmitRejectsUnroutedStream) {
   PoolFixture f(ShardPolicy::single());
-  EXPECT_THROW(f.pool->on_patch(3, f.make_patch(1, 0.0, 1.0)),
+  EXPECT_THROW(f.pool->submit(3, f.make_patch(1, 0.0, 1.0)),
                std::out_of_range);
-  EXPECT_THROW(f.pool->on_patch(-1, f.make_patch(1, 0.0, 1.0)),
+  EXPECT_THROW(f.pool->submit(-1, f.make_patch(1, 0.0, 1.0)),
                std::out_of_range);
 }
 
@@ -123,8 +110,8 @@ TEST(InvokerPool, ShardsBatchIndependently) {
   const int tight = f.pool->route(0, {"tight", 0.5});
   const int loose = f.pool->route(1, {"loose", 2.0});
   f.sim.schedule_at(0.0, [&] {
-    f.pool->on_patch(tight, f.make_patch(1, 0.0, 0.5));
-    f.pool->on_patch(loose, f.make_patch(2, 0.0, 2.0));
+    f.pool->submit(0, f.make_patch(1, 0.0, 0.5));
+    f.pool->submit(1, f.make_patch(2, 0.0, 2.0));
   });
   f.sim.run();
   // Separate shards, separate deadlines: two batches of one patch each,
@@ -140,12 +127,12 @@ TEST(InvokerPool, ShardsBatchIndependently) {
 
 TEST(InvokerPool, FlushDrainsEveryShardAndPendingSums) {
   PoolFixture f(ShardPolicy::per_slo_class());
-  const int a = f.pool->route(0, {"a", 50.0});
-  const int b = f.pool->route(1, {"b", 80.0});
+  ASSERT_EQ(f.pool->route(0, {"a", 50.0}), 0);
+  ASSERT_EQ(f.pool->route(1, {"b", 80.0}), 1);
   f.sim.schedule_at(0.0, [&] {
-    f.pool->on_patch(a, f.make_patch(1, 0.0, 50.0));
-    f.pool->on_patch(b, f.make_patch(2, 0.0, 80.0));
-    f.pool->on_patch(b, f.make_patch(3, 0.0, 80.0));
+    f.pool->submit(0, f.make_patch(1, 0.0, 50.0));
+    f.pool->submit(1, f.make_patch(2, 0.0, 80.0));
+    f.pool->submit(1, f.make_patch(3, 0.0, 80.0));
   });
   f.sim.run_until(1.0);
   EXPECT_EQ(f.pool->pending_patches(), 3u);
@@ -158,12 +145,12 @@ TEST(InvokerPool, FlushDrainsEveryShardAndPendingSums) {
 
 TEST(InvokerPool, AggregateStatsSumShards) {
   PoolFixture f(ShardPolicy::per_slo_class());
-  const int a = f.pool->route(0, {"a", 1.0});
-  const int b = f.pool->route(1, {"b", 2.0});
+  ASSERT_EQ(f.pool->route(0, {"a", 1.0}), 0);
+  ASSERT_EQ(f.pool->route(1, {"b", 2.0}), 1);
   f.sim.schedule_at(0.0, [&] {
-    f.pool->on_patch(a, f.make_patch(1, 0.0, 1.0));
-    f.pool->on_patch(a, f.make_patch(2, 0.0, 1.0));
-    f.pool->on_patch(b, f.make_patch(3, 0.0, 2.0));
+    f.pool->submit(0, f.make_patch(1, 0.0, 1.0));
+    f.pool->submit(0, f.make_patch(2, 0.0, 1.0));
+    f.pool->submit(1, f.make_patch(3, 0.0, 2.0));
   });
   f.sim.run();
   const InvokerStats stats = f.pool->aggregate_stats();
@@ -209,8 +196,8 @@ TEST(InvokerPool, SingleShardMatchesRawInvokerExactly) {
   raw.flush();
 
   PoolFixture f(ShardPolicy::single());
-  const int shard = f.pool->route(0, {"only", 0.0});
-  schedule(f.sim, [&](Patch&& p) { f.pool->on_patch(shard, std::move(p)); });
+  ASSERT_EQ(f.pool->route(0, {"only", 0.0}), 0);
+  schedule(f.sim, [&](Patch&& p) { f.pool->submit(0, std::move(p)); });
   f.sim.run();
   f.pool->flush();
 
@@ -248,20 +235,18 @@ TEST(InvokerPool, PerClassShardingStopsCrossClassForcedFlushChurn) {
   auto drive = [](ShardPolicy policy, InvokerStats& stats_out,
                   common::Sampler& loose_batches) {
     PoolFixture f(std::move(policy));
-    const int tight = f.pool->route(0, {"tight", 0.45});
+    (void)f.pool->route(0, {"tight", 0.45});
     const int loose = f.pool->route(1, {"loose", 6.0});
     for (int i = 0; i < 60; ++i) {
       const double t = 0.05 * i;
-      f.sim.schedule_at(t, [&f, loose, t, i] {
-        f.pool->on_patch(loose,
-                         f.make_patch(static_cast<std::uint64_t>(100 + i), t,
-                                      6.0, {700, 700}));
+      f.sim.schedule_at(t, [&f, t, i] {
+        f.pool->submit(1, f.make_patch(static_cast<std::uint64_t>(100 + i), t,
+                                       6.0, {700, 700}));
       });
       if (i % 4 == 0) {
-        f.sim.schedule_at(t, [&f, tight, t, i] {
-          f.pool->on_patch(tight,
-                           f.make_patch(static_cast<std::uint64_t>(i), t,
-                                        0.45));
+        f.sim.schedule_at(t, [&f, t, i] {
+          f.pool->submit(0,
+                         f.make_patch(static_cast<std::uint64_t>(i), t, 0.45));
         });
       }
     }

@@ -189,20 +189,27 @@ TEST_F(DeterminismTest, RebalancingSweepBitIdenticalAcrossJobCounts) {
       cell.config.drift_to_slo.push_back(i % 4 == 0 ? 0.25 : 0.0);
     }
     if (variant == 0) {
-      cell.config.rebalance = core::RebalancePolicy::load_threshold(
-          /*imbalance_ratio=*/1.5, /*min_backlog=*/2, /*interval_s=*/0.1);
+      // Stealing without migration: streams stay on their hashed shards
+      // and only patches cross between them.
+      cell.config.sharding = core::ShardPolicy::hashed(2);
+      cell.config.rebalance = core::RebalancePolicy::none();
+      cell.config.rebalance.interval_s = 0.1;
     } else {
       cell.config.rebalance =
           core::RebalancePolicy::class_mix_drift(/*min_run=*/2,
                                                  /*interval_s=*/0.1);
-      if (variant == 2) {
-        cell.config.rebalance.steal.enabled = true;
-        cell.config.rebalance.steal.min_victim_backlog = 2;
-      }
+    }
+    if (variant != 1) {
+      cell.config.rebalance.steal.enabled = true;
+      cell.config.rebalance.steal.min_victim_backlog = 2;
     }
     cells.push_back(std::move(cell));
   }
-  const auto serial = json_of(run_multistream_cells(cells, 1));
+  const auto serial_runs = run_multistream_cells(cells, 1);
+  // The steal-only cell moves patches, never streams.
+  EXPECT_GT(serial_runs[0].result.rebalance.steals, 0u);
+  EXPECT_EQ(serial_runs[0].result.rebalance.migrations, 0u);
+  const auto serial = json_of(serial_runs);
   const auto parallel = json_of(run_multistream_cells(cells, 8));
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)

@@ -88,7 +88,6 @@ TEST(ProvisioningStepLoad, PrewarmingForecastersAreByteIdenticalAcrossJobs) {
   const serverless::AutoscalePolicy forecasters[] = {
       serverless::AutoscalePolicy::windowed_max(12, 0.5),
       serverless::AutoscalePolicy::ewma(0.5, 1, 0.5),
-      serverless::AutoscalePolicy::holt_winters(0.5, 0.1, 0.1, 8, 0.5),
   };
   std::vector<MultiStreamCell> cells;
   for (const auto& policy : forecasters) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -79,12 +80,18 @@ TEST(Rebalance, ActivePolicyRejectsNonPositiveInterval) {
   auto model = deterministic_model();
   const LatencyEstimator estimator(model, {1024, 1024},
                                    quick_estimator_config());
-  RebalancePolicy bad = RebalancePolicy::load_threshold();
-  bad.interval_s = 0.0;
-  EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
-                           ShardPolicy::per_slo_class(), [](int, Batch&&) {},
-                           nullptr, bad),
-               std::invalid_argument);
+  // A NaN interval would re-arm the rebalancer at the current instant
+  // forever, so it is rejected with the non-positive ones.
+  for (const double interval :
+       {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    RebalancePolicy bad = RebalancePolicy::class_mix_drift();
+    bad.interval_s = interval;
+    EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
+                             ShardPolicy::per_slo_class(), [](int, Batch&&) {},
+                             nullptr, bad),
+                 std::invalid_argument)
+        << interval;
+  }
   // none() never evaluates the interval, so a zero interval is harmless.
   RebalancePolicy none;
   none.interval_s = 0.0;
@@ -93,43 +100,45 @@ TEST(Rebalance, ActivePolicyRejectsNonPositiveInterval) {
                               nullptr, none));
 }
 
-// --- load-threshold migration ------------------------------------------------
+// --- stream migration -------------------------------------------------------
 
-TEST(Rebalance, LoadThresholdMigratesBusiestStreamPreservingFifo) {
-  RebalanceFixture f(
-      ShardPolicy::per_slo_class(),
-      RebalancePolicy::load_threshold(/*imbalance_ratio=*/2.0,
-                                      /*min_backlog=*/4, /*interval_s=*/0.05));
-  const int a = f.pool->route(0, {"a", 50.0});
-  ASSERT_EQ(f.pool->route(1, {"b", 50.0}), a);  // same class, same shard
-  const int b = f.pool->route(2, {"c", 80.0});
-  ASSERT_NE(a, b);
+TEST(Rebalance, DriftMigrationMovesStreamWholeInArrivalOrder) {
+  RebalanceFixture f(ShardPolicy::per_slo_class(),
+                     RebalancePolicy::class_mix_drift(/*min_run=*/4,
+                                                      /*interval_s=*/0.05));
+  // Registered with per-patch SLOs, both streams share one shard.
+  const int source = f.pool->route(0, {"a", 0.0});
+  ASSERT_EQ(f.pool->route(1, {"b", 0.0}), source);
 
-  // Shard a holds an 8-patch backlog (6 of stream 0, 2 of stream 1); shard b
-  // is empty.  SLOs are far out, so nothing dispatches during the window.
+  // Interleaved arrivals: stream 1 owns ids 4 and 8 (a run of 2, below
+  // min_run), stream 0 the rest (a run of 6).  SLOs are far out, so
+  // nothing dispatches during the window.
   f.sim.schedule_at(0.0, [&] {
-    for (std::uint64_t id = 1; id <= 6; ++id)
-      f.pool->submit(0, f.make_patch(id, 0.0, 50.0));
-    for (std::uint64_t id = 7; id <= 8; ++id)
-      f.pool->submit(1, f.make_patch(id, 0.0, 50.0));
+    for (std::uint64_t id = 1; id <= 8; ++id) {
+      if (id % 4 == 0)
+        f.pool->submit(1, f.make_patch(id, 0.0, 80.0));
+      else
+        f.pool->submit(0, f.make_patch(id, 0.0, 50.0));
+    }
   });
-  // One tick: 8 > 2.0 x 0 and >= min_backlog, so the stream with the most
-  // pending patches there (stream 0) moves to the idle shard.
+  // One tick: stream 0 moves to its observed class's (new) shard.
   f.sim.run_until(0.07);
 
-  EXPECT_EQ(f.pool->shard_of(0), b);
-  EXPECT_EQ(f.pool->shard_of(1), a);
+  const int target = f.pool->shard_of(0);
+  ASSERT_NE(target, source);
+  EXPECT_EQ(f.pool->shard_of(1), source);
   EXPECT_EQ(f.pool->migrations(), 1u);
   ASSERT_EQ(f.moves.size(), 1u);
-  EXPECT_EQ(f.moves[0], std::make_tuple(StreamId{0}, a, b));
+  EXPECT_EQ(f.moves[0], std::make_tuple(StreamId{0}, source, target));
   // The migrated stream's patches re-admit on the new shard in their original
-  // arrival order; the victim keeps its own FIFO intact.
-  EXPECT_EQ(f.queue_ids(static_cast<std::size_t>(b)),
-            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
-  EXPECT_EQ(f.queue_ids(static_cast<std::size_t>(a)),
-            (std::vector<std::uint64_t>{7, 8}));
+  // arrival order; the source keeps the other stream's FIFO intact.
+  EXPECT_EQ(f.queue_ids(static_cast<std::size_t>(target)),
+            (std::vector<std::uint64_t>{1, 2, 3, 5, 6, 7}));
+  EXPECT_EQ(f.queue_ids(static_cast<std::size_t>(source)),
+            (std::vector<std::uint64_t>{4, 8}));
   // Migration telemetry: the SOURCE shard records the departure.
-  EXPECT_EQ(f.pool->shard(static_cast<std::size_t>(a)).stats().migrations, 1u);
+  EXPECT_EQ(
+      f.pool->shard(static_cast<std::size_t>(source)).stats().migrations, 1u);
   EXPECT_EQ(f.pool->aggregate_stats().migrations, 1u);
 
   // Every patch still completes exactly once.

@@ -303,6 +303,11 @@ TEST(Simulator, RejectsNanEventTime) {
   EXPECT_THROW(
       sim.schedule_at(std::numeric_limits<double>::quiet_NaN(), [] {}),
       std::invalid_argument);
+  // A NaN delay is rejected too, not clamped to now like a negative one.
+  EXPECT_THROW(
+      sim.schedule_in(std::numeric_limits<double>::quiet_NaN(), [] {}),
+      std::invalid_argument);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Simulator, CountsEventsExecuted) {
