@@ -460,8 +460,8 @@ void BM_DispatchPath(benchmark::State& state) {
           benchmark::DoNotOptimize(record.finish_time);
         });
   };
-  core::SloAwareInvoker invoker(sim, core::StitchSolver{}, estimator, iconfig,
-                                dispatch);
+  core::SloAwareInvoker invoker(sim, core::PackHeuristic::kGuillotineBssf,
+                                estimator, iconfig, dispatch);
 
   const auto sizes = random_patches(64, 23);
   double t = 0.0;

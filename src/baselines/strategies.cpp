@@ -1,40 +1,8 @@
 #include "baselines/strategies.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace tangram::baselines {
-
-void Strategy::on_patch(const core::Patch&) {
-  throw std::logic_error(name() + " does not accept patch-level work");
-}
-
-void Strategy::on_frame(const FrameWork&) {
-  throw std::logic_error(name() + " does not accept frame-level work");
-}
-
-// --- Full / Masked frame --------------------------------------------------------
-
-void FullFrameStrategy::on_frame(const FrameWork& frame) {
-  serverless::RequestSpec spec;
-  spec.image_megapixels = frame.megapixels;
-  spec.num_items = 1;
-  platform_.invoke(spec,
-                   [this, frame](const serverless::InvocationRecord& record) {
-                     if (on_done_) on_done_(frame, record);
-                   });
-}
-
-void MaskedFrameStrategy::on_frame(const FrameWork& frame) {
-  serverless::RequestSpec spec;
-  spec.image_megapixels = frame.megapixels;
-  spec.masked = true;
-  spec.num_items = 1;
-  platform_.invoke(spec,
-                   [this, frame](const serverless::InvocationRecord& record) {
-                     if (on_done_) on_done_(frame, record);
-                   });
-}
 
 // --- ELF -------------------------------------------------------------------------
 

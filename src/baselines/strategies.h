@@ -1,13 +1,13 @@
-// Cloud-side scheduling baselines the paper evaluates Tangram against
-// (Section V-A).  Tangram itself runs as core::TangramSystem; see
-// experiments::run_end_to_end.
+// Cloud-side scheduling baselines the paper evaluates Tangram against in its
+// end-to-end study (Section V-A, Fig. 12).  Tangram itself runs as
+// core::TangramSystem; see experiments::run_end_to_end.  Full Frame and
+// Masked Frame appear only in the per-frame cost and bandwidth study
+// (Figs. 8-9), which experiments::per_frame_cost models without a strategy.
 //
-// Every strategy consumes the same arrival stream and submits requests to
-// the same FunctionPlatform; they differ only in *how and when* they invoke:
+// Every strategy consumes the same patch arrival stream and submits requests
+// to the same FunctionPlatform; they differ only in *how and when* they
+// invoke:
 //
-//  * Full Frame   — one invocation per full-resolution frame;
-//  * Masked Frame — one invocation per masked frame (AdaMask-style: same
-//                   resolution, background blanked, mild compute discount);
 //  * ELF          — one invocation per patch, triggered in sequence;
 //  * Clipper      — patches resized to a fixed model input and batched with
 //                   an AIMD-adapted maximum batch size, single outstanding
@@ -16,15 +16,14 @@
 //                   the queue reaches `batch_size` or the oldest item has
 //                   waited `timeout` (batch-size + timeout scheme).
 //
-// The harness drives on_patch()/on_frame() at network-delivery time and
-// learns about completions through the PatchCompletionFn / FrameCompletionFn
-// callbacks, from which it computes SLO violations.
+// The harness drives on_patch() at network-delivery time and learns about
+// completions through the PatchCompletionFn callback, from which it computes
+// SLO violations.
 
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/patch.h"
@@ -33,60 +32,16 @@
 
 namespace tangram::baselines {
 
-// A full- or masked-frame unit of work (frame-level strategies).
-struct FrameWork {
-  int camera_id = 0;
-  int frame_index = 0;
-  double generation_time = 0.0;
-  double slo = 1.0;
-  double megapixels = 0.0;
-  bool masked = false;
-
-  [[nodiscard]] double deadline() const { return generation_time + slo; }
-};
-
-// (work item, completion record) notifications.
+// (patch, completion record) notification.
 using PatchCompletionFn = std::function<void(
     const core::Patch&, const serverless::InvocationRecord&)>;
-using FrameCompletionFn = std::function<void(
-    const FrameWork&, const serverless::InvocationRecord&)>;
 
 class Strategy {
  public:
   virtual ~Strategy() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  virtual void on_patch(const core::Patch& patch);
-  virtual void on_frame(const FrameWork& frame);
+  virtual void on_patch(const core::Patch& patch) = 0;
   // End of stream: dispatch anything still queued.
   virtual void flush() {}
-};
-
-// --- Full / Masked frame -------------------------------------------------------
-
-class FullFrameStrategy final : public Strategy {
- public:
-  FullFrameStrategy(serverless::FunctionPlatform& platform,
-                    FrameCompletionFn on_done)
-      : platform_(platform), on_done_(std::move(on_done)) {}
-  [[nodiscard]] std::string name() const override { return "FullFrame"; }
-  void on_frame(const FrameWork& frame) override;
-
- private:
-  serverless::FunctionPlatform& platform_;
-  FrameCompletionFn on_done_;
-};
-
-class MaskedFrameStrategy final : public Strategy {
- public:
-  MaskedFrameStrategy(serverless::FunctionPlatform& platform,
-                      FrameCompletionFn on_done)
-      : platform_(platform), on_done_(std::move(on_done)) {}
-  [[nodiscard]] std::string name() const override { return "MaskedFrame"; }
-  void on_frame(const FrameWork& frame) override;
-
- private:
-  serverless::FunctionPlatform& platform_;
-  FrameCompletionFn on_done_;
 };
 
 // --- ELF -----------------------------------------------------------------------
@@ -102,7 +57,6 @@ class ElfStrategy final : public Strategy {
   ElfStrategy(serverless::FunctionPlatform& platform, ElfOptions options,
               PatchCompletionFn on_done)
       : platform_(platform), options_(options), on_done_(std::move(on_done)) {}
-  [[nodiscard]] std::string name() const override { return "ELF"; }
   void on_patch(const core::Patch& patch) override;
 
  private:
@@ -126,7 +80,6 @@ class ClipperStrategy final : public Strategy {
   ClipperStrategy(sim::Simulator& simulator,
                   serverless::FunctionPlatform& platform,
                   ClipperOptions options, PatchCompletionFn on_done);
-  [[nodiscard]] std::string name() const override { return "Clipper"; }
   void on_patch(const core::Patch& patch) override;
   void flush() override;
 
@@ -159,7 +112,6 @@ class MArkStrategy final : public Strategy {
   MArkStrategy(sim::Simulator& simulator,
                serverless::FunctionPlatform& platform, MArkOptions options,
                PatchCompletionFn on_done);
-  [[nodiscard]] std::string name() const override { return "MArk"; }
   void on_patch(const core::Patch& patch) override;
   void flush() override;
 

@@ -178,49 +178,4 @@ class Sampler {
   RunningStats stats_;
 };
 
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bucket.  Used for the Fig. 14(d) patch-count x canvas-count
-// heat map and distribution printouts.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {
-    if (buckets == 0 || hi <= lo)
-      throw std::invalid_argument("Histogram: bad range");
-  }
-
-  void add(double x) {
-    ++total_;
-    ++counts_[bucket_of(x)];
-  }
-
-  [[nodiscard]] std::size_t bucket_of(double x) const {
-    if (x <= lo_) return 0;
-    if (x >= hi_) return counts_.size() - 1;
-    const auto b = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                            static_cast<double>(counts_.size()));
-    return std::min(b, counts_.size() - 1);
-  }
-
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] const std::vector<std::size_t>& counts() const {
-    return counts_;
-  }
-  [[nodiscard]] double fraction(std::size_t bucket) const {
-    return total_ ? static_cast<double>(counts_.at(bucket)) /
-                        static_cast<double>(total_)
-                  : 0.0;
-  }
-  [[nodiscard]] std::pair<double, double> bucket_range(std::size_t b) const {
-    const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return {lo_ + w * static_cast<double>(b),
-            lo_ + w * static_cast<double>(b + 1)};
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace tangram::common

@@ -8,10 +8,6 @@
 namespace tangram::core {
 
 LatencyEstimator::LatencyEstimator(serverless::InferenceLatencyModel model,
-                                   common::Size canvas)
-    : LatencyEstimator(std::move(model), canvas, Config{}) {}
-
-LatencyEstimator::LatencyEstimator(serverless::InferenceLatencyModel model,
                                    common::Size canvas, Config config)
     : config_(config), canvas_(canvas) {
   if (config_.max_profiled_batch < 1)

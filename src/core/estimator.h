@@ -34,8 +34,6 @@ class LatencyEstimator {
   // private copy, so it never perturbs the online model's RNG stream).
   LatencyEstimator(serverless::InferenceLatencyModel model,
                    common::Size canvas, Config config);
-  LatencyEstimator(serverless::InferenceLatencyModel model,
-                   common::Size canvas);
 
   // Conservative execution-time estimate for a batch of `num_canvases`.
   // Sizes beyond the profiled range extrapolate linearly from the last two

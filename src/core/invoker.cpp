@@ -57,17 +57,17 @@ TANGRAM_HOT_PATH void BatchPool::recycle(Batch&& batch) {
   if (shells_.size() < kMaxPooledShells) shells_.push_back(std::move(batch));
 }
 
-SloAwareInvoker::SloAwareInvoker(sim::Simulator& simulator, StitchSolver solver,
+SloAwareInvoker::SloAwareInvoker(sim::Simulator& simulator,
+                                 PackHeuristic heuristic,
                                  const LatencyEstimator& estimator,
                                  InvokerConfig config, InvokeFn invoke)
     : sim_(simulator),
-      solver_(solver),
       estimator_(estimator),
       config_(std::move(config)),
       invoke_(std::move(invoke)),
       batch_pool_(config_.batch_pool ? config_.batch_pool
                                      : std::make_shared<BatchPool>()),
-      session_(config_.canvas, solver.heuristic()) {
+      session_(config_.canvas, heuristic) {
   if (!invoke_)
     throw std::invalid_argument("SloAwareInvoker: invoke callback required");
   if (config_.max_canvases < 1)
@@ -87,13 +87,8 @@ void SloAwareInvoker::refresh_deadline_and_slack() {
 
 void SloAwareInvoker::repack_full() {
   session_.reset();
-  placements_.assign(queue_.size(), Placement{});
-  repack_sizes_.clear();
-  repack_sizes_.reserve(queue_.size());
-  for (const auto& p : queue_) repack_sizes_.push_back(p.size());
-  make_pack_order_into(repack_sizes_, solver_.sorted(), repack_order_);
-  for (const std::size_t idx : repack_order_)
-    placements_[idx] = session_.add(repack_sizes_[idx]);
+  placements_.clear();
+  for (const auto& p : queue_) placements_.push_back(session_.add(p.size()));
   ++stats_.full_repacks;
   refresh_deadline_and_slack();
 }
@@ -104,11 +99,7 @@ TANGRAM_HOT_PATH void SloAwareInvoker::on_patch(Patch patch) {
 }
 
 TANGRAM_HOT_PATH void SloAwareInvoker::attach_patch(Patch patch) {
-  if (solver_.sorted()) {
-    admit_resorting(std::move(patch));
-  } else {
-    admit_incremental(std::move(patch));
-  }
+  admit_incremental(std::move(patch));
 
   // A patch whose SLO is unmeetable even alone (t_remain already passed with
   // a single-canvas batch) is dispatched immediately as a best effort — the
@@ -174,30 +165,6 @@ TANGRAM_HOT_PATH void SloAwareInvoker::admit_incremental(Patch patch) {
     earliest_deadline_ = queue_.back().deadline();
     // A single patch on a fresh session is always exactly one canvas.
     slack_ = single_canvas_slack_;
-  }
-}
-
-void SloAwareInvoker::admit_resorting(Patch patch) {
-  // Sort-by-area ablation: placement order is not arrival order, so the
-  // canvas set must be re-solved from scratch on every arrival (the paper's
-  // literal Algorithm 2 line 8).
-  resort_scratch_.assign(queue_.begin(), queue_.end());  // C_old's queue
-  queue_.push_back(std::move(patch));
-  repack_full();
-
-  const double t_remain = earliest_deadline_ - slack_;
-  const bool would_violate = t_remain < sim_.now();
-  const bool memory_overflow = session_.canvas_count() > config_.max_canvases;
-
-  if ((would_violate || memory_overflow) && !resort_scratch_.empty()) {
-    Patch newcomer = std::move(queue_.back());
-    std::swap(queue_, resort_scratch_);  // both vectors keep their capacity
-    repack_full();
-    invoke_current();  // Invoke(C_old); leaves queue_ empty
-    ++stats_.forced_flushes;
-
-    queue_.push_back(std::move(newcomer));
-    repack_full();
   }
 }
 
@@ -325,10 +292,6 @@ std::vector<Patch>& SloAwareInvoker::release_tail(std::size_t count) {
 std::size_t SloAwareInvoker::steal_from(SloAwareInvoker& victim,
                                         std::size_t max_patches) {
   if (&victim == this || max_patches == 0) return 0;
-  // The tentative admission extends this session in queue order; the sorted
-  // ablation re-solves in area order on every arrival, so a stolen tail
-  // would not be the suffix of either side's packing.
-  if (solver_.sorted() || victim.solver_.sorted()) return 0;
   const std::size_t available = victim.queue_.size();
   if (available < 2) return 0;  // the victim always keeps one patch
 

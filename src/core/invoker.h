@@ -23,8 +23,7 @@
 // StitchSession::add() yields the *identical* canvas set at O(free rects)
 // per arrival; step 3 un-admits the patch with a checkpoint/rollback instead
 // of a second from-scratch solve.  The from-scratch path survives only for
-// the sort-by-area packing ablation (where arrival order != placement
-// order), selected automatically when the solver has sorting enabled.
+// migration: detach_stream() re-solves the survivors in queue order.
 
 #pragma once
 
@@ -96,8 +95,8 @@ struct InvokerStats {
   // InvokerConfig::pool_headroom is wired).
   std::size_t saturated_dispatches = 0;
   // Packing-engine counters: arrivals absorbed by the incremental fast path
-  // vs. from-scratch solver runs (sort-by-area ablation mode, and the
-  // repack after a stream is detached mid-queue by migration).
+  // vs. from-scratch solver runs (the repack after a stream is detached
+  // mid-queue by migration).
   std::size_t incremental_adds = 0;
   std::size_t full_repacks = 0;
   // Cross-shard adaptivity counters (the rebalancing layer; all zero under
@@ -165,7 +164,7 @@ class SloAwareInvoker {
  public:
   using InvokeFn = std::function<void(Batch&&)>;
 
-  SloAwareInvoker(sim::Simulator& simulator, StitchSolver solver,
+  SloAwareInvoker(sim::Simulator& simulator, PackHeuristic heuristic,
                   const LatencyEstimator& estimator, InvokerConfig config,
                   InvokeFn invoke);
 
@@ -200,8 +199,7 @@ class SloAwareInvoker {
   // fits GPU memory.  Tries the longest suffix first; on commit the victim
   // releases its tail in O(k) (session tail rollback, no re-solve) and can
   // only gain slack.  The victim always keeps at least one patch; returns
-  // the number stolen (0 = nothing packable, including either side running
-  // the sorted ablation, where tail identity does not hold).
+  // the number stolen (0 = nothing packable).
   std::size_t steal_from(SloAwareInvoker& victim, std::size_t max_patches);
 
   // Router bookkeeping: a stream was migrated off this shard.
@@ -253,7 +251,6 @@ class SloAwareInvoker {
 
  private:
   void admit_incremental(Patch patch);  // session fast path
-  void admit_resorting(Patch patch);    // sorted-ablation from-scratch path
   // Hand the last `count` queued patches (a queue suffix) to a thief:
   // un-places them via the session's O(k) tail rollback and refreshes the
   // deadline horizon.  The caller guarantees count < queue size.  Returns a
@@ -271,7 +268,6 @@ class SloAwareInvoker {
   [[nodiscard]] Batch build_batch();
 
   sim::Simulator& sim_;
-  StitchSolver solver_;
   const LatencyEstimator& estimator_;
   InvokerConfig config_;
   InvokeFn invoke_;
@@ -288,9 +284,6 @@ class SloAwareInvoker {
   // Reusable scratch buffers (high-water capacity, never shrunk): the
   // dispatch/migration paths touch no fresh vectors at steady state.
   std::vector<std::size_t> canvas_counts_;   // build_batch grouping pass
-  std::vector<common::Size> repack_sizes_;   // repack_full inputs
-  std::vector<std::size_t> repack_order_;    // repack_full pack order
-  std::vector<Patch> resort_scratch_;        // admit_resorting's C_old copy
   std::vector<Patch> detach_scratch_;        // detach_stream output
   std::vector<Patch> release_scratch_;       // release_tail output
   std::vector<Placement> steal_placed_;      // steal_from tentative places

@@ -18,13 +18,13 @@ std::string slo_class_key(double slo_s) {
 
 }  // namespace
 
-InvokerPool::InvokerPool(sim::Simulator& simulator, StitchSolver solver,
+InvokerPool::InvokerPool(sim::Simulator& simulator, PackHeuristic heuristic,
                          const LatencyEstimator& estimator,
                          InvokerConfig config, ShardPolicy policy,
                          ShardInvokeFn invoke, ShardSetupFn shard_setup,
                          RebalancePolicy rebalance, MigrateFn on_migrate)
     : sim_(simulator),
-      solver_(solver),
+      heuristic_(heuristic),
       estimator_(estimator),
       config_(std::move(config)),
       policy_(std::move(policy)),
@@ -74,7 +74,7 @@ int InvokerPool::shard_for_key(const std::string& key,
   if (shard_setup_) shard_setup_(index, key, first_stream, shard_config);
   keys_.push_back(key);
   shards_.push_back(std::make_unique<SloAwareInvoker>(
-      sim_, solver_, estimator_, std::move(shard_config),
+      sim_, heuristic_, estimator_, std::move(shard_config),
       [this, index](Batch&& batch) { invoke_(index, std::move(batch)); }));
   shard_streams_.push_back(0);
   occupancy_.emplace_back();

@@ -152,9 +152,9 @@ class InvokerPool {
   // telemetry.  Runs after the stream's pending patches were re-admitted.
   using MigrateFn = std::function<void(StreamId stream, int from, int to)>;
 
-  // `estimator` must outlive the pool; all shards share it.  Each shard gets
-  // its own StitchSolver copy (stateless) and its own canvas session.
-  InvokerPool(sim::Simulator& simulator, StitchSolver solver,
+  // `estimator` must outlive the pool; all shards share it.  Each shard packs
+  // with `heuristic` on its own canvas session.
+  InvokerPool(sim::Simulator& simulator, PackHeuristic heuristic,
               const LatencyEstimator& estimator, InvokerConfig config,
               ShardPolicy policy, ShardInvokeFn invoke,
               ShardSetupFn shard_setup = nullptr,
@@ -232,7 +232,7 @@ class InvokerPool {
   void migrate_stream(StreamId stream, int to);
 
   sim::Simulator& sim_;
-  StitchSolver solver_;
+  PackHeuristic heuristic_;
   const LatencyEstimator& estimator_;
   InvokerConfig config_;
   ShardPolicy policy_;

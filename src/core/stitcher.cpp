@@ -1,7 +1,6 @@
 #include "core/stitcher.h"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -335,39 +334,14 @@ void validate(std::span<const common::Size> items, common::Size canvas) {
 
 }  // namespace
 
-std::vector<std::size_t> make_pack_order(std::span<const common::Size> items,
-                                         bool sort_by_area_desc) {
-  std::vector<std::size_t> order;
-  make_pack_order_into(items, sort_by_area_desc, order);
-  return order;
-}
-
-void make_pack_order_into(std::span<const common::Size> items,
-                          bool sort_by_area_desc,
-                          std::vector<std::size_t>& order) {
-  order.resize(items.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (sort_by_area_desc) {
-    // stable_sort may still allocate its merge buffer internally; this path
-    // only runs in the sort-by-area packing ablation, never in the default
-    // zero-allocation dispatch configuration.
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return items[a].area() > items[b].area();
-                     });
-  }
-}
-
 StitchResult StitchSolver::pack(std::span<const common::Size> items,
                                 common::Size canvas) const {
   validate(items, canvas);
-  const std::vector<std::size_t> order = make_pack_order(items, sort_desc_);
 
   StitchSession session(canvas, heuristic_);
+  for (const common::Size& item : items) session.add(item);
   StitchResult result;
-  result.placements.assign(items.size(), Placement{});
-  for (const std::size_t idx : order)
-    result.placements[idx] = session.add(items[idx]);
+  result.placements = session.placements();
   result.canvas_count = session.canvas_count();
   result.canvas_fill = session.canvas_fill();
   return result;

@@ -18,8 +18,7 @@
 //   * StitchSolver::pack() — the batch API of the paper's pseudocode
 //     ("re-run from scratch on every arrival", Algorithm 2 line 8).  It is a
 //     thin wrapper that replays the items through a fresh session, so batch
-//     and incremental placements are identical by construction.  An optional
-//     sort-by-area mode (used by the packing ablation) sorts before replay.
+//     and incremental placements are identical by construction.
 
 #pragma once
 
@@ -170,37 +169,22 @@ class StitchSession {
   std::vector<SkylineUndo> skyline_undo_;
 };
 
-// Placement order used by StitchSolver::pack(): input order, or a stable
-// sort by descending area when sort_by_area_desc is set.  Exposed so the
-// invoker's sorted-ablation fallback replays the exact same order.
-[[nodiscard]] std::vector<std::size_t> make_pack_order(
-    std::span<const common::Size> items, bool sort_by_area_desc);
-
-// Scratch-reusing variant: fills `order` in place (capacity retained across
-// calls) with exactly make_pack_order()'s result.  The unsorted path is
-// allocation-free once `order` has grown to its high-water size.
-void make_pack_order_into(std::span<const common::Size> items,
-                          bool sort_by_area_desc,
-                          std::vector<std::size_t>& order);
-
 class StitchSolver {
  public:
-  explicit StitchSolver(PackHeuristic heuristic = PackHeuristic::kGuillotineBssf,
-                        bool sort_by_area_desc = false)
-      : heuristic_(heuristic), sort_desc_(sort_by_area_desc) {}
+  explicit StitchSolver(
+      PackHeuristic heuristic = PackHeuristic::kGuillotineBssf)
+      : heuristic_(heuristic) {}
 
   [[nodiscard]] PackHeuristic heuristic() const { return heuristic_; }
-  [[nodiscard]] bool sorted() const { return sort_desc_; }
 
-  // Pack all items (replayed through a fresh StitchSession).  Throws
-  // std::invalid_argument if any item exceeds the canvas in either dimension
-  // (callers split oversized patches first; see split_oversized).
+  // Pack all items in input order (replayed through a fresh StitchSession).
+  // Throws std::invalid_argument if any item exceeds the canvas in either
+  // dimension (callers split oversized patches first; see split_oversized).
   [[nodiscard]] StitchResult pack(std::span<const common::Size> items,
                                   common::Size canvas) const;
 
  private:
   PackHeuristic heuristic_;
-  bool sort_desc_;
 };
 
 // Cut a rectangle exceeding the canvas into a grid of tiles that each fit.

@@ -95,8 +95,7 @@ TangramSystem::TangramSystem(sim::Simulator& simulator, Config config,
   batch_pool_ = std::make_shared<BatchPool>();
   inv.batch_pool = batch_pool_;
   pool_ = std::make_unique<InvokerPool>(
-      simulator, StitchSolver(config_.heuristic), *estimator_, inv,
-      config_.sharding,
+      simulator, config_.heuristic, *estimator_, inv, config_.sharding,
       [this](int shard, Batch&& batch) { dispatch(shard, std::move(batch)); },
       // Capacity wiring: when a shard is created, carve its pool out of the
       // platform fleet and stamp the shard config so batch dispatch (and the

@@ -25,11 +25,6 @@ std::string to_string(StrategyKind kind) {
 
 namespace {
 
-bool is_frame_level(StrategyKind kind) {
-  return kind == StrategyKind::kFullFrame ||
-         kind == StrategyKind::kMaskedFrame;
-}
-
 // The one place a MultiStreamConfig maps onto a TangramSystem config, so
 // run_multistream and the shared-profiling path (run_sharded, grids) can
 // never drift apart.
@@ -78,13 +73,6 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
     ++result.completed_items;
     if (record.finish_time > patch.deadline() + 1e-9) ++result.violations;
   };
-  const auto on_frame_done = [&](const baselines::FrameWork& frame,
-                                 const serverless::InvocationRecord& record) {
-    const double latency = record.finish_time - frame.generation_time;
-    result.e2e_latency.add(latency);
-    ++result.completed_items;
-    if (record.finish_time > frame.deadline() + 1e-9) ++result.violations;
-  };
 
   // Tangram is the TangramSystem facade on one shard, fed through the
   // legacy single-stream entry so every patch keeps its camera's SLO; the
@@ -111,13 +99,9 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
       break;
     }
     case StrategyKind::kFullFrame:
-      strategy =
-          std::make_unique<baselines::FullFrameStrategy>(*bare, on_frame_done);
-      break;
     case StrategyKind::kMaskedFrame:
-      strategy = std::make_unique<baselines::MaskedFrameStrategy>(
-          *bare, on_frame_done);
-      break;
+      throw std::invalid_argument(
+          "run_end_to_end: Full/Masked Frame are per-frame-only baselines");
     case StrategyKind::kElf:
       strategy = std::make_unique<baselines::ElfStrategy>(*bare, config.elf,
                                                           on_patch_done);
@@ -161,29 +145,10 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
           phase + static_cast<double>(i) * frame_interval;
       sim.schedule_at(capture + config.edge_latency_s, [&, cam, capture,
                                                         &frame = frame]() {
-        if (is_frame_level(kind)) {
-          const std::size_t bytes = kind == StrategyKind::kFullFrame
-                                        ? frame.full_frame_bytes
-                                        : frame.masked_frame_bytes;
-          result.total_bytes += bytes;
-          baselines::FrameWork work;
-          work.camera_id = static_cast<int>(cam);
-          work.frame_index = frame.frame_index;
-          work.generation_time = capture;
-          work.slo = cam < config.per_camera_slo.size()
-                         ? config.per_camera_slo[cam]
-                         : config.slo_s;
-          work.megapixels =
-              static_cast<double>(cameras[cam]->spec.frame.area()) / 1.0e6;
-          work.masked = kind == StrategyKind::kMaskedFrame;
-          link_of(cam).send(bytes,
-                            [&, work] { strategy->on_frame(work); });
-          return;
-        }
-        // All patch-level strategies (Tangram, ELF-as-trigger-in-sequence,
-        // Clipper, MArk) consume the same Algorithm-1 patch stream; the
-        // ELF-system encode (elf_patch_bytes) only enters the Fig. 9
-        // bandwidth study via per_frame_cost().
+        // Every strategy (Tangram, ELF-as-trigger-in-sequence, Clipper,
+        // MArk) consumes the same Algorithm-1 patch stream; the ELF-system
+        // encode (elf_patch_bytes) only enters the Fig. 9 bandwidth study
+        // via per_frame_cost().
         for (std::size_t p = 0; p < frame.patches.size(); ++p) {
           const std::size_t bytes = frame.patch_bytes[p];
           result.total_bytes += bytes;

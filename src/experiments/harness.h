@@ -6,11 +6,12 @@
 //    single request; Full/Masked send the whole frame; ELF triggers one
 //    invocation per patch), so cost and bandwidth can be compared without
 //    SLO dynamics;
-//  * run_end_to_end(): the Fig. 12-14 methodology — cameras stream over a
-//    shared bandwidth-limited uplink into a live scheduler on the
+//  * run_end_to_end(): the Fig. 12-14 methodology — cameras stream patches
+//    over a shared bandwidth-limited uplink into a live scheduler on the
 //    discrete-event simulator (Tangram is the TangramSystem facade on one
-//    shard; the baselines are baselines:: strategies), with SLO-violation
-//    accounting;
+//    shard; ELF, Clipper and MArk are baselines:: strategies), with
+//    SLO-violation accounting.  Full/Masked Frame are per-frame-only and
+//    throw std::invalid_argument here;
 //  * run_multistream(): the scale-out scenario beyond the paper — N cameras
 //    registered as first-class streams on ONE TangramSystem facade (shared
 //    invoker + platform, cross-stream canvas stitching), with per-stream
@@ -84,7 +85,7 @@ struct RunResult {
   int fleet_size = 0;         // instance slots: the concurrency peak
   std::size_t stragglers = 0;  // fault injection counters
   std::size_t retries = 0;
-  std::size_t completed_items = 0;  // patches (or frames) finished
+  std::size_t completed_items = 0;  // patches finished
   std::size_t violations = 0;
   common::Sampler e2e_latency;      // capture -> inference result, per item
   common::Sampler exec_latency;     // per invocation

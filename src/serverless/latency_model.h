@@ -108,9 +108,8 @@ class InferenceLatencyModel {
                                             common::Size canvas) {
     return mean_batch_latency(batch_size, canvas) * jitter();
   }
-  [[nodiscard]] double sample_image_latency(double megapixels,
-                                            bool masked = false) {
-    return mean_image_latency(megapixels, masked) * jitter();
+  [[nodiscard]] double sample_image_latency(double megapixels) {
+    return mean_image_latency(megapixels) * jitter();
   }
 
  private:

@@ -48,7 +48,6 @@ FunctionPlatform::FunctionPlatform(sim::Simulator& simulator,
       latency_(latency_params, common::Rng(seed, 5)),
       fault_rng_(seed ^ 0xFA17ED, 15),
       execution_latency_(config.telemetry_reservoir),
-      queueing_delay_(config.telemetry_reservoir),
       cold_start_setup_(config.telemetry_reservoir) {
   if (config_.max_instances < 1)
     throw std::invalid_argument("FunctionPlatform: max_instances must be >=1");
@@ -58,7 +57,10 @@ FunctionPlatform::FunctionPlatform(sim::Simulator& simulator,
     throw std::invalid_argument(
         "FunctionPlatform: autoscale interval_s must be > 0");
   if (scale.forecasting()) {
-    if (!(scale.alpha > 0.0) || scale.alpha > 1.0)
+    // Only kEwma reads alpha; horizon and window serve every forecast kind
+    // (accuracy scoring and the pre-warm idle budget).
+    if (scale.kind == AutoscalePolicy::Kind::kEwma &&
+        (!(scale.alpha > 0.0) || scale.alpha > 1.0))
       throw std::invalid_argument(
           "FunctionPlatform: autoscale alpha must be in (0, 1]");
     if (scale.horizon < 1 || scale.window < 1)
@@ -115,13 +117,6 @@ int FunctionPlatform::define_pool(const CapacityPoolConfig& config) {
                                 pool.burst_limit);
   pools_.push_back(std::move(pool));
   return static_cast<int>(pools_.size()) - 1;
-}
-
-int FunctionPlatform::pool_index(const std::string& name) const {
-  for (std::size_t i = 0; i < pools_.size(); ++i)
-    if (pools_[i].name == name) return static_cast<int>(i);
-  throw std::out_of_range("FunctionPlatform: unknown capacity pool '" + name +
-                          "'");
 }
 
 int FunctionPlatform::unmet_reservations_excluding(int pool) const {
@@ -222,11 +217,6 @@ int FunctionPlatform::find_idle_warm_instance() {
 
 void FunctionPlatform::invoke(const RequestSpec& spec, Callback on_complete) {
   invoke_on_pool(spec, 0, std::move(on_complete));
-}
-
-void FunctionPlatform::invoke(const RequestSpec& spec, const std::string& pool,
-                              Callback on_complete) {
-  invoke_on_pool(spec, pool_index(pool), std::move(on_complete));
 }
 
 void FunctionPlatform::invoke(const RequestSpec& spec, int pool,
@@ -358,8 +348,7 @@ TANGRAM_HOT_PATH void FunctionPlatform::start_on_instance(int instance,
     return pending.spec.num_canvases > 0
                ? latency_.sample_batch_latency(pending.spec.num_canvases,
                                                pending.spec.canvas)
-               : latency_.sample_image_latency(pending.spec.image_megapixels,
-                                               pending.spec.masked);
+               : latency_.sample_image_latency(pending.spec.image_megapixels);
   };
 
   double setup = cold ? config_.cold_start_s : 0.0;
@@ -418,7 +407,6 @@ TANGRAM_HOT_PATH void FunctionPlatform::start_on_instance(int instance,
   total_cost_ += record.cost;
   busy_seconds_ += exec;
   execution_latency_.add(exec);
-  queueing_delay_.add(sim_.now() - pending.submit_time);
 
   const std::uint32_t slot = acquire_completion();
   completions_[slot].record = record;

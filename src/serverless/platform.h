@@ -25,7 +25,7 @@
 // pool, since every pool runs the same function image — only the concurrency
 // accounting is partitioned.  The "default" pool (reserved 0, burst
 // `max_instances`) always exists and reproduces the un-pooled platform
-// exactly; `invoke()` without a pool key lands there.
+// exactly; `invoke()` without a pool id lands there.
 //
 // Queueing conventions (FIFO, no queue-jumping):
 //  * A request that cannot start — its pool is at its limit, blocked by
@@ -238,13 +238,14 @@ struct PlatformConfig {
   double canvas_gpu_gb = 0.50;  // w: VRAM per canvas in a batch
   double model_gpu_gb = 1.50;   // tau: resident model weights
   FailureInjection faults;
-  // Capacity pools beyond the always-present default pool.  Reservations
-  // must sum to <= max_instances.
+  // Capacity pools beyond the always-present default pool (id 0).  Entry i
+  // gets PoolId i + 1 when every name is distinct (define_pool returns an
+  // existing name's id).  Reservations must sum to <= max_instances.
   std::vector<CapacityPoolConfig> pools;
   // Per-pool limit controller (applies to every pool, default included).
   AutoscalePolicy autoscale;
   // Reservoir capacity for the platform's telemetry Samplers (execution
-  // latency, queueing delay, cold-start setup, per-pool backlog depth).
+  // latency, cold-start setup, per-pool backlog depth).
   // 0 = retain every sample (legacy, exact quantiles); > 0 bounds per-sim
   // telemetry memory for city-scale sweeps (see common/stats.h).
   std::size_t telemetry_reservoir = 0;
@@ -256,7 +257,6 @@ struct RequestSpec {
   int num_canvases = 0;
   common::Size canvas{1024, 1024};
   double image_megapixels = 0.0;
-  bool masked = false;
   int num_items = 0;  // carried metadata (e.g. patches inside the batch)
 };
 
@@ -280,10 +280,10 @@ struct InvocationRecord {
 class FunctionPlatform {
  public:
   using Callback = std::function<void(const InvocationRecord&)>;
-  // Dense index of a capacity pool, interned once at wiring time via
-  // define_pool()/pool_index().  Every hot-path entry point (invoke by
-  // index, pool_headroom, the autoscaler, completion accounting) works on
-  // PoolIds — the string key exists only for wiring and telemetry.
+  // Dense index of a capacity pool, returned once at wiring time by
+  // define_pool().  Every entry point (invoke, pool_headroom, the
+  // autoscaler, completion accounting) works on PoolIds — the pool name
+  // exists only for wiring and telemetry.
   using PoolId = int;
 
   static constexpr const char* kDefaultPool = "default";
@@ -295,11 +295,8 @@ class FunctionPlatform {
   // Submit a request to the default pool; `on_complete` fires at finish time
   // (may be empty).
   void invoke(const RequestSpec& spec, Callback on_complete);
-  // Submit against a named capacity pool (must exist; see define_pool).
-  void invoke(const RequestSpec& spec, const std::string& pool,
-              Callback on_complete);
-  // Submit against a pool by index (as returned by define_pool /
-  // pool_index) — the hot-path variant that skips the name lookup.
+  // Submit against a capacity pool by the index define_pool returned;
+  // throws std::out_of_range for an index no pool has.
   void invoke(const RequestSpec& spec, int pool, Callback on_complete);
 
   // Create a capacity pool at runtime (the system facade wires one per
@@ -318,15 +315,10 @@ class FunctionPlatform {
 
   // --- capacity pools -------------------------------------------------------
   [[nodiscard]] std::size_t pool_count() const { return pools_.size(); }
-  // Index for a pool name; throws std::out_of_range on an unknown name.
-  [[nodiscard]] int pool_index(const std::string& name) const;
   // Additional invocations the pool could start right now (0 when a new
   // request would join the backlog): bounded by the pool's current limit,
   // other pools' unmet reservations, and the fleet cap.
   [[nodiscard]] int pool_headroom(int pool) const;
-  [[nodiscard]] int pool_headroom(const std::string& name) const {
-    return pool_headroom(pool_index(name));
-  }
   [[nodiscard]] PoolTelemetry pool_telemetry(int pool) const;
   [[nodiscard]] std::vector<PoolTelemetry> pool_telemetry() const;
 
@@ -358,9 +350,6 @@ class FunctionPlatform {
   [[nodiscard]] std::size_t queued_requests() const { return queued_; }
   [[nodiscard]] const common::Sampler& execution_latency() const {
     return execution_latency_;
-  }
-  [[nodiscard]] const common::Sampler& queueing_delay() const {
-    return queueing_delay_;
   }
   [[nodiscard]] double busy_seconds() const { return busy_seconds_; }
   [[nodiscard]] std::size_t stragglers() const { return stragglers_; }
@@ -506,7 +495,6 @@ class FunctionPlatform {
   std::size_t stragglers_ = 0;
   std::size_t retries_ = 0;
   common::Sampler execution_latency_;
-  common::Sampler queueing_delay_;
   common::Sampler cold_start_setup_;
 };
 

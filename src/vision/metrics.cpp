@@ -86,14 +86,6 @@ double ApAccumulator::average_precision(double iou_threshold) const {
   return ap;
 }
 
-double ApAccumulator::max_recall(double iou_threshold) const {
-  if (total_gt_ == 0) return 0.0;
-  const std::vector<char> tp = match_all(iou_threshold);
-  const double hits =
-      static_cast<double>(std::count(tp.begin(), tp.end(), char{1}));
-  return hits / static_cast<double>(total_gt_);
-}
-
 double average_precision(
     const std::vector<Detection>& detections,
     const std::vector<video::GroundTruthObject>& ground_truth,

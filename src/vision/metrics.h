@@ -34,9 +34,6 @@ class ApAccumulator {
   // truth has been added.
   [[nodiscard]] double average_precision(double iou_threshold = 0.5) const;
 
-  // Recall at the operating point including all detections.
-  [[nodiscard]] double max_recall(double iou_threshold = 0.5) const;
-
  private:
   struct Frame {
     std::vector<Detection> detections;

@@ -47,54 +47,6 @@ TEST(ElfStrategy, OneInvocationPerPatch) {
   EXPECT_EQ(platform.invocations(), 5u);
 }
 
-TEST(FullFrameStrategy, InvokesPerFrame) {
-  sim::Simulator sim;
-  serverless::FunctionPlatform platform(sim, fast_platform(),
-                                        deterministic_latency());
-  int done = 0;
-  FullFrameStrategy full(platform,
-                         [&](const FrameWork&, const serverless::InvocationRecord&) {
-                           ++done;
-                         });
-  FrameWork work;
-  work.megapixels = 8.3;
-  full.on_frame(work);
-  full.on_frame(work);
-  sim.run();
-  EXPECT_EQ(done, 2);
-  EXPECT_EQ(platform.invocations(), 2u);
-}
-
-TEST(MaskedFrameStrategy, CheaperThanFullFrame) {
-  sim::Simulator sim;
-  serverless::FunctionPlatform platform(sim, fast_platform(),
-                                        deterministic_latency());
-  double full_exec = 0, masked_exec = 0;
-  FullFrameStrategy full(platform,
-                         [&](const FrameWork&, const serverless::InvocationRecord& r) {
-                           full_exec = r.execution_s;
-                         });
-  MaskedFrameStrategy masked(platform,
-                             [&](const FrameWork&, const serverless::InvocationRecord& r) {
-                               masked_exec = r.execution_s;
-                             });
-  FrameWork work;
-  work.megapixels = 8.3;
-  full.on_frame(work);
-  masked.on_frame(work);
-  sim.run();
-  EXPECT_LT(masked_exec, full_exec);
-}
-
-TEST(StrategyKindChecks, FrameStrategiesRejectPatches) {
-  sim::Simulator sim;
-  serverless::FunctionPlatform platform(sim, fast_platform());
-  FullFrameStrategy full(platform, nullptr);
-  EXPECT_THROW(full.on_patch(make_patch(1, 0.0)), std::logic_error);
-  ElfStrategy elf(platform, ElfOptions{}, nullptr);
-  EXPECT_THROW(elf.on_frame(FrameWork{}), std::logic_error);
-}
-
 TEST(ClipperStrategy, ServesImmediatelyWhenIdle) {
   sim::Simulator sim;
   serverless::FunctionPlatform platform(sim, fast_platform(),

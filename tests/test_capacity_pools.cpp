@@ -37,8 +37,7 @@ RequestSpec canvases(int n) {
 // A mixed schedule with warm reuse, scale-out, cooled slots, and backlog
 // pressure; returns every completion record in callback order.
 std::vector<InvocationRecord> drive_workload(
-    FunctionPlatform& platform, sim::Simulator& sim,
-    const std::string& pool = {}) {
+    FunctionPlatform& platform, sim::Simulator& sim, int pool = 0) {
   std::vector<InvocationRecord> records;
   const auto collect = [&](const InvocationRecord& r) {
     records.push_back(r);
@@ -48,8 +47,8 @@ std::vector<InvocationRecord> drive_workload(
   int i = 0;
   for (const double t : arrivals) {
     const int batch = 1 + (i++ % 3);
-    sim.schedule_at(t, [&platform, &pool, batch, collect] {
-      if (pool.empty()) {
+    sim.schedule_at(t, [&platform, pool, batch, collect] {
+      if (pool == 0) {
         platform.invoke(canvases(batch), collect);
       } else {
         platform.invoke(canvases(batch), pool, collect);
@@ -85,7 +84,7 @@ TEST(CapacityPool, DefaultPoolReproducesUnpooledDispatchByteForByte) {
   routed.pools.push_back({"all", 0, -1});  // same limits as the default pool
   sim::Simulator sim_c;
   FunctionPlatform c(sim_c, routed, deterministic_latency());
-  const auto records_c = drive_workload(c, sim_c, "all");
+  const auto records_c = drive_workload(c, sim_c, /*pool=*/1);
 
   ASSERT_GT(records_a.size(), 0u);
   for (const auto* other : {&records_b, &records_c}) {
@@ -121,6 +120,7 @@ TEST(CapacityPool, ReservationHoldsInstancesBackFromOtherPools) {
   config.max_instances = 4;
   config.pools.push_back({"tight", 2, -1});
   FunctionPlatform platform(sim, config, deterministic_latency());
+  const int tight_pool = 1;  // config.pools[0]
 
   std::vector<InvocationRecord> loose, tight;
   sim.schedule_at(0.0, [&] {
@@ -132,13 +132,12 @@ TEST(CapacityPool, ReservationHoldsInstancesBackFromOtherPools) {
     // the tight pool's reservation.
     EXPECT_EQ(platform.queued_requests(), 2u);
     EXPECT_EQ(platform.pool_headroom(0), 0);
-    EXPECT_EQ(platform.pool_headroom("tight"), 2);
+    EXPECT_EQ(platform.pool_headroom(tight_pool), 2);
   });
   sim.schedule_at(0.1, [&] {
     for (int i = 0; i < 2; ++i)
-      platform.invoke(canvases(1), "tight", [&](const InvocationRecord& r) {
-        tight.push_back(r);
-      });
+      platform.invoke(canvases(1), tight_pool,
+                      [&](const InvocationRecord& r) { tight.push_back(r); });
     // Reserved capacity: both start instantly despite the loose backlog.
     EXPECT_EQ(platform.queued_requests(), 2u);
   });
@@ -198,9 +197,8 @@ TEST(CapacityPool, BurstLimitCapsPoolEvenWhenFleetIsIdle) {
   std::vector<InvocationRecord> capped;
   sim.schedule_at(0.0, [&] {
     for (int i = 0; i < 2; ++i)
-      platform.invoke(canvases(1), "capped", [&](const InvocationRecord& r) {
-        capped.push_back(r);
-      });
+      platform.invoke(canvases(1), /*pool=*/1,
+                      [&](const InvocationRecord& r) { capped.push_back(r); });
     EXPECT_EQ(platform.queued_requests(), 1u);  // burst cap, not fleet cap
     // The rest of the fleet stays available to the default pool.
     EXPECT_EQ(platform.pool_headroom(0), 3);
@@ -220,13 +218,14 @@ TEST(CapacityPool, BlockedPoolDoesNotBlockOtherPoolsInBacklog) {
   config.keepalive_s = 30.0;
   config.pools.push_back({"a", 0, 1});
   FunctionPlatform platform(sim, config, deterministic_latency());
+  const int pool_a = 1;  // config.pools[0]
 
   InvocationRecord a1, a2, d1, d2;
   sim.schedule_at(0.0, [&] {
     // a1 runs a long batch; a2 queues behind pool a's burst cap of 1.
-    platform.invoke(canvases(3), "a",
+    platform.invoke(canvases(3), pool_a,
                     [&](const InvocationRecord& r) { a1 = r; });
-    platform.invoke(canvases(1), "a",
+    platform.invoke(canvases(1), pool_a,
                     [&](const InvocationRecord& r) { a2 = r; });
     // d1 takes the second fleet slot; d2 queues behind the full fleet,
     // BEHIND a2 in the shared backlog.
@@ -278,9 +277,9 @@ TEST(CapacityPool, DefinitionValidation) {
   const int first = platform.define_pool({"p", 1, 2});
   EXPECT_EQ(platform.define_pool({"p", 1, 2}), first);  // idempotent
   EXPECT_THROW(platform.define_pool({"p", 2, 2}), std::invalid_argument);
-  EXPECT_THROW((void)platform.pool_index("nope"), std::out_of_range);
-  EXPECT_THROW(platform.invoke(canvases(1), "nope", nullptr),
-               std::out_of_range);
+  // Pools 0 (default) and 1 ("p") exist; any other index is caller error.
+  EXPECT_THROW(platform.invoke(canvases(1), 2, nullptr), std::out_of_range);
+  EXPECT_THROW(platform.invoke(canvases(1), -1, nullptr), std::out_of_range);
 }
 
 // --- autoscaling -------------------------------------------------------------
@@ -358,7 +357,7 @@ TEST(Autoscale, TerminatesOnPermanentlyStarvedBacklog) {
     EXPECT_LE(platform.pool_telemetry(0).series.size(), 2 * policy.window + 1)
         << name;
     // A later reserved-pool invocation re-arms the world and completes.
-    platform.invoke(canvases(1), "owns-everything", nullptr);
+    platform.invoke(canvases(1), /*pool=*/1, nullptr);
     sim.run();
     EXPECT_EQ(platform.pool_telemetry(1).dispatched, 1u) << name;
   }
@@ -394,6 +393,32 @@ TEST(Autoscale, RejectsNonPositiveOrNanInterval) {
   EXPECT_NO_THROW({ FunctionPlatform platform(sim, config); });
 }
 
+TEST(Autoscale, ValidatesOnlyTheFieldsItsKindReads) {
+  sim::Simulator sim;
+  PlatformConfig config = base_config();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Only kEwma smooths with alpha, so only kEwma range-checks it.
+  for (const double alpha : {0.0, -0.1, 1.5, nan}) {
+    config.autoscale = AutoscalePolicy::ewma(alpha);
+    EXPECT_THROW({ FunctionPlatform platform(sim, config); },
+                 std::invalid_argument)
+        << alpha;
+  }
+  for (const double alpha : {0.0, nan}) {
+    config.autoscale = AutoscalePolicy::windowed_max();
+    config.autoscale.alpha = alpha;
+    EXPECT_NO_THROW({ FunctionPlatform platform(sim, config); }) << alpha;
+  }
+  // Accuracy scoring reads the horizon of every forecast kind.
+  for (const AutoscalePolicy& policy :
+       {AutoscalePolicy::ewma(), AutoscalePolicy::windowed_max()}) {
+    config.autoscale = policy;
+    config.autoscale.horizon = 0;
+    EXPECT_THROW({ FunctionPlatform platform(sim, config); },
+                 std::invalid_argument);
+  }
+}
+
 TEST(Autoscale, LimitNeverDropsBelowReservation) {
   sim::Simulator sim;
   PlatformConfig config = base_config();
@@ -406,12 +431,11 @@ TEST(Autoscale, LimitNeverDropsBelowReservation) {
   FunctionPlatform platform(sim, config, deterministic_latency());
 
   int done = 0;
-  platform.invoke(canvases(1), "tight",
+  platform.invoke(canvases(1), /*pool=*/1,
                   [&](const InvocationRecord&) { ++done; });
   sim.run();
   EXPECT_EQ(done, 1);
-  const PoolTelemetry tele =
-      platform.pool_telemetry(platform.pool_index("tight"));
+  const PoolTelemetry tele = platform.pool_telemetry(1);
   for (const auto& s : tele.series) EXPECT_GE(s.limit, 3);
   EXPECT_GE(tele.limit, 3);
 }
@@ -456,7 +480,7 @@ TEST(SystemCapacityPools, ShardsAreWiredToTheirPools) {
   EXPECT_EQ(system.platform().pool_count(), 2u);
   // Idle fleet: the tight pool may burst past its reservation to the full
   // fleet, while the default pool is squeezed by tight's unmet reservation.
-  EXPECT_EQ(system.platform().pool_headroom("tight"), 4);
+  EXPECT_EQ(system.platform().pool_headroom(tight_shard.pool_id()), 4);
   EXPECT_EQ(system.platform().pool_headroom(0), 2);
 
   sim.schedule_at(0.0, [&] {
@@ -472,7 +496,8 @@ TEST(SystemCapacityPools, ShardsAreWiredToTheirPools) {
   // Each shard's invocation landed on its own pool.
   const auto tele = system.platform().pool_telemetry();
   ASSERT_EQ(tele.size(), 2u);
-  EXPECT_EQ(tele[system.platform().pool_index("tight")].dispatched, 1u);
+  EXPECT_EQ(tele[static_cast<std::size_t>(tight_shard.pool_id())].dispatched,
+            1u);
   EXPECT_EQ(tele[0].dispatched, 1u);
 }
 

@@ -75,7 +75,6 @@ TEST(Ap, MultiFrameAccumulation) {
   EXPECT_EQ(acc.frames(), 2u);
   EXPECT_EQ(acc.total_ground_truth(), 2u);
   EXPECT_DOUBLE_EQ(acc.average_precision(), 0.5);
-  EXPECT_DOUBLE_EQ(acc.max_recall(), 0.5);
 }
 
 TEST(Ap, MatchingIsPerFrame) {

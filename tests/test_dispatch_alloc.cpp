@@ -87,7 +87,8 @@ struct DispatchFixture {
     config.telemetry_reservoir = 64;
     config.batch_pool = pool;
     invoker = std::make_unique<SloAwareInvoker>(
-        sim, StitchSolver{}, estimator, config, [this](Batch&& batch) {
+        sim, PackHeuristic::kGuillotineBssf, estimator, config,
+        [this](Batch&& batch) {
           serverless::RequestSpec spec;
           spec.num_canvases = batch.canvas_count();
           spec.num_items = batch.total_patches;

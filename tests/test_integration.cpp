@@ -97,15 +97,6 @@ TEST_F(IntegrationTest, TangramUsesFewerInvocationsThanElf) {
   EXPECT_LT(tangram.invocations, elf.invocations / 3);
 }
 
-TEST_F(IntegrationTest, BandwidthReductionVsFullFrame) {
-  const auto config = config_with(40.0, 1.0);
-  const auto tangram =
-      run_end_to_end(cameras(), StrategyKind::kTangram, config);
-  const auto full =
-      run_end_to_end(cameras(), StrategyKind::kFullFrame, config);
-  EXPECT_LT(tangram.total_bytes, full.total_bytes);
-}
-
 TEST_F(IntegrationTest, DeterministicAcrossRuns) {
   const auto config = config_with(40.0, 1.0);
   const auto a = run_end_to_end(cameras(), StrategyKind::kTangram, config);

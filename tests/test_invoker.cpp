@@ -35,7 +35,7 @@ struct Fixture {
     InvokerConfig config;
     config.max_canvases = max_canvases;
     invoker = std::make_unique<SloAwareInvoker>(
-        sim, StitchSolver(), estimator, config,
+        sim, PackHeuristic::kGuillotineBssf, estimator, config,
         [this](Batch&& b) { invoked.push_back(std::move(b)); });
   }
 
@@ -174,7 +174,7 @@ struct ExactBoundaryFixture {
                     return c;
                   }()) {
     invoker = std::make_unique<SloAwareInvoker>(
-        sim, StitchSolver(), estimator, InvokerConfig{},
+        sim, PackHeuristic::kGuillotineBssf, estimator, InvokerConfig{},
         [this](Batch&& b) { invoked.push_back(std::move(b)); });
   }
 };
@@ -272,7 +272,7 @@ TEST(Invoker, TelemetryAccumulates) {
   EXPECT_GT(f.invoker->canvas_efficiency().count(), 0u);
 }
 
-TEST(Invoker, IncrementalFastPathHandlesUnsortedSolver) {
+TEST(Invoker, IncrementalFastPathAbsorbsEveryArrival) {
   Fixture f;
   for (int i = 0; i < 6; ++i) {
     f.sim.schedule_at(0.01 * i, [&f, i] {
@@ -282,7 +282,7 @@ TEST(Invoker, IncrementalFastPathHandlesUnsortedSolver) {
   }
   f.sim.run();
   // Every arrival is absorbed by a session add; the from-scratch solver
-  // never runs for the default (unsorted) heuristic.
+  // runs only when migration detaches a stream.
   EXPECT_EQ(f.invoker->incremental_adds(), 6u);
   EXPECT_EQ(f.invoker->full_repacks(), 0u);
 }
@@ -303,32 +303,43 @@ TEST(Invoker, ForcedFlushReAdmitsNewcomerIncrementally) {
   EXPECT_EQ(f.invoker->full_repacks(), 0u);
 }
 
-TEST(Invoker, SortedSolverFallsBackToFullRepack) {
-  sim::Simulator sim;
-  auto model = deterministic_model();
-  LatencyEstimator::Config c;
-  c.max_profiled_batch = 10;
-  c.iterations = 50;
-  const LatencyEstimator estimator(model, {1024, 1024}, c);
-  std::vector<Batch> invoked;
-  SloAwareInvoker invoker(
-      sim, StitchSolver(PackHeuristic::kGuillotineBssf, /*sort=*/true),
-      estimator, InvokerConfig{}, [&](Batch&& b) { invoked.push_back(std::move(b)); });
-  for (int i = 0; i < 4; ++i) {
-    sim.schedule_at(0.01 * i, [&invoker, i] {
-      Patch p;
-      p.id = static_cast<std::uint64_t>(i);
-      p.region = {0, 0, 300 + 50 * i, 300};
-      p.generation_time = 0.01 * i;
-      p.slo = 1.0;
-      invoker.on_patch(p);
-    });
+TEST(Invoker, DetachStreamRepacksSurvivorsInQueueOrder) {
+  // Migration's detach half is the one caller of the from-scratch repack:
+  // the survivors' canvas set must be exactly what the batch solver makes
+  // of them in queue order.
+  Fixture f;
+  const std::vector<common::Size> sizes = {{700, 300}, {500, 500},
+                                           {300, 700}, {600, 200},
+                                           {200, 600}, {450, 450}};
+  std::vector<std::uint64_t> detached;
+  f.sim.schedule_at(0.0, [&] {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      Patch p = f.make_patch(i, sizes[i], 0.0, 5.0);
+      p.stream_id = static_cast<int>(i % 2);
+      f.invoker->on_patch(p);
+    }
+    for (const Patch& p : f.invoker->detach_stream(1))
+      detached.push_back(p.id);
+    f.invoker->flush();
+  });
+  f.sim.run();
+  EXPECT_EQ(detached, (std::vector<std::uint64_t>{1, 3, 5}));
+  EXPECT_EQ(f.invoker->full_repacks(), 1u);
+
+  const std::vector<common::Size> survivors = {sizes[0], sizes[2], sizes[4]};
+  const StitchResult expected = StitchSolver().pack(survivors, {1024, 1024});
+  ASSERT_EQ(f.invoked.size(), 1u);
+  const Batch& batch = f.invoked[0];
+  EXPECT_EQ(batch.total_patches, 3);
+  ASSERT_EQ(batch.canvas_count(), expected.canvas_count);
+  for (std::size_t c = 0; c < batch.canvases.size(); ++c) {
+    const PackedCanvas& canvas = batch.canvases[c];
+    for (std::size_t k = 0; k < canvas.patches.size(); ++k) {
+      const Placement& want = expected.placements[canvas.patches[k].id / 2];
+      EXPECT_EQ(want.canvas_index, static_cast<int>(c));
+      EXPECT_EQ(want.position, canvas.positions[k]);
+    }
   }
-  sim.run();
-  ASSERT_EQ(invoked.size(), 1u);
-  EXPECT_EQ(invoked[0].total_patches, 4);
-  EXPECT_EQ(invoker.incremental_adds(), 0u);
-  EXPECT_EQ(invoker.full_repacks(), 4u);  // one from-scratch solve per arrival
 }
 
 TEST(Invoker, RejectsBadConstruction) {
@@ -337,13 +348,13 @@ TEST(Invoker, RejectsBadConstruction) {
   LatencyEstimator::Config c;
   c.iterations = 50;
   const LatencyEstimator estimator(model, {1024, 1024}, c);
-  EXPECT_THROW(SloAwareInvoker(sim, StitchSolver(), estimator, InvokerConfig{},
-                               nullptr),
+  EXPECT_THROW(SloAwareInvoker(sim, PackHeuristic::kGuillotineBssf, estimator,
+                               InvokerConfig{}, nullptr),
                std::invalid_argument);
   InvokerConfig bad;
   bad.max_canvases = 0;
-  EXPECT_THROW(SloAwareInvoker(sim, StitchSolver(), estimator, bad,
-                               [](Batch&&) {}),
+  EXPECT_THROW(SloAwareInvoker(sim, PackHeuristic::kGuillotineBssf, estimator,
+                               bad, [](Batch&&) {}),
                std::invalid_argument);
 }
 

@@ -36,7 +36,8 @@ struct PoolFixture {
   explicit PoolFixture(ShardPolicy policy)
       : estimator(model, {1024, 1024}, quick_estimator_config()) {
     pool = std::make_unique<InvokerPool>(
-        sim, StitchSolver(), estimator, InvokerConfig{}, std::move(policy),
+        sim, PackHeuristic::kGuillotineBssf, estimator, InvokerConfig{},
+        std::move(policy),
         [this](int, Batch&& b) { invoked.push_back(std::move(b)); });
   }
 
@@ -87,11 +88,12 @@ TEST(InvokerPool, RejectsBadConstruction) {
   auto model = deterministic_model();
   const LatencyEstimator estimator(model, {1024, 1024},
                                    quick_estimator_config());
-  EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
-                           ShardPolicy::single(), nullptr),
+  EXPECT_THROW(InvokerPool(sim, PackHeuristic::kGuillotineBssf, estimator,
+                           InvokerConfig{}, ShardPolicy::single(), nullptr),
                std::invalid_argument);
-  EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
-                           ShardPolicy::hashed(0), [](int, Batch&&) {}),
+  EXPECT_THROW(InvokerPool(sim, PackHeuristic::kGuillotineBssf, estimator,
+                           InvokerConfig{}, ShardPolicy::hashed(0),
+                           [](int, Batch&&) {}),
                std::invalid_argument);
 }
 
@@ -189,7 +191,8 @@ TEST(InvokerPool, SingleShardMatchesRawInvokerExactly) {
   const LatencyEstimator est_raw(model_raw, {1024, 1024},
                                  quick_estimator_config());
   std::vector<Batch> raw_batches;
-  SloAwareInvoker raw(sim_raw, StitchSolver(), est_raw, InvokerConfig{},
+  SloAwareInvoker raw(sim_raw, PackHeuristic::kGuillotineBssf, est_raw,
+                      InvokerConfig{},
                       [&](Batch&& b) { raw_batches.push_back(std::move(b)); });
   schedule(sim_raw, [&](Patch&& p) { raw.on_patch(std::move(p)); });
   sim_raw.run();

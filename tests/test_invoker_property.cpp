@@ -33,7 +33,8 @@ TEST_P(InvokerProperty, EveryPatchDispatchedExactlyOnceAndValid) {
   config.max_canvases = rng.uniform_int(1, 9);
 
   std::vector<Batch> batches;
-  SloAwareInvoker invoker(sim, StitchSolver(), estimator, config,
+  SloAwareInvoker invoker(sim, PackHeuristic::kGuillotineBssf, estimator,
+                          config,
                           [&](Batch&& b) { batches.push_back(std::move(b)); });
 
   // Random stream: bursty arrivals, mixed sizes, mixed SLOs.

@@ -376,7 +376,6 @@ TEST(Platform, ExecutionLatencyTelemetry) {
   for (int i = 0; i < 5; ++i) platform.invoke(spec, nullptr);
   sim.run();
   EXPECT_EQ(platform.execution_latency().count(), 5u);
-  EXPECT_EQ(platform.queueing_delay().count(), 5u);
 }
 
 }  // namespace

@@ -194,8 +194,9 @@ TEST(ProvisioningHeadroom, PadsOnlyTheConfiguredPool) {
   spec.num_canvases = 1;
   // One request per pool: both pools' peak demand is 1, so the trailing-max
   // forecast settles at 1 for each and only the headroom differs.
-  sim.schedule_at(0.0, [&] { platform.invoke(spec, "padded", nullptr); });
-  sim.schedule_at(0.0, [&] { platform.invoke(spec, "exact", nullptr); });
+  // pc.pools[i] is PoolId i + 1.
+  sim.schedule_at(0.0, [&] { platform.invoke(spec, 1, nullptr); });  // padded
+  sim.schedule_at(0.0, [&] { platform.invoke(spec, 2, nullptr); });  // exact
   sim.run();
 
   const auto pools = platform.pool_telemetry();
@@ -228,10 +229,10 @@ TEST(ProvisioningAggregation, RollupsSumAcrossAllPools) {
   for (const double wave_start : {0.0, 8.0}) {
     for (int i = 0; i < 3; ++i) {
       sim.schedule_at(wave_start + 0.01 * i, [&, spec] {
-        platform.invoke(spec, "tight", nullptr);
+        platform.invoke(spec, /*tight=*/1, nullptr);
       });
       sim.schedule_at(wave_start + 0.02 * i, [&, spec] {
-        platform.invoke(spec, "loose", nullptr);
+        platform.invoke(spec, /*loose=*/2, nullptr);
       });
     }
   }

@@ -48,7 +48,8 @@ struct RebalanceFixture {
   RebalanceFixture(ShardPolicy policy, RebalancePolicy rebalance)
       : estimator(model, {1024, 1024}, quick_estimator_config()) {
     pool = std::make_unique<InvokerPool>(
-        sim, StitchSolver(), estimator, InvokerConfig{}, std::move(policy),
+        sim, PackHeuristic::kGuillotineBssf, estimator, InvokerConfig{},
+        std::move(policy),
         [this](int, Batch&& b) { invoked.push_back(std::move(b)); },
         /*shard_setup=*/nullptr, rebalance,
         [this](StreamId stream, int from, int to) {
@@ -86,18 +87,18 @@ TEST(Rebalance, ActivePolicyRejectsNonPositiveInterval) {
        {0.0, std::numeric_limits<double>::quiet_NaN()}) {
     RebalancePolicy bad = RebalancePolicy::class_mix_drift();
     bad.interval_s = interval;
-    EXPECT_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
-                             ShardPolicy::per_slo_class(), [](int, Batch&&) {},
-                             nullptr, bad),
+    EXPECT_THROW(InvokerPool(sim, PackHeuristic::kGuillotineBssf, estimator,
+                             InvokerConfig{}, ShardPolicy::per_slo_class(),
+                             [](int, Batch&&) {}, nullptr, bad),
                  std::invalid_argument)
         << interval;
   }
   // none() never evaluates the interval, so a zero interval is harmless.
   RebalancePolicy none;
   none.interval_s = 0.0;
-  EXPECT_NO_THROW(InvokerPool(sim, StitchSolver(), estimator, InvokerConfig{},
-                              ShardPolicy::per_slo_class(), [](int, Batch&&) {},
-                              nullptr, none));
+  EXPECT_NO_THROW(InvokerPool(sim, PackHeuristic::kGuillotineBssf, estimator,
+                              InvokerConfig{}, ShardPolicy::per_slo_class(),
+                              [](int, Batch&&) {}, nullptr, none));
 }
 
 // --- stream migration -------------------------------------------------------

@@ -157,32 +157,5 @@ TEST(Sampler, ZeroCapacityRetainsEverything) {
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 999.0);
 }
 
-TEST(Histogram, BucketAssignment) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(3.0);   // bucket 1
-  h.add(9.99);  // bucket 4
-  h.add(-5.0);  // clamps to 0
-  h.add(50.0);  // clamps to 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[1], 1u);
-  EXPECT_EQ(h.counts()[4], 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-}
-
-TEST(Histogram, BucketRange) {
-  Histogram h(0.0, 10.0, 5);
-  const auto [lo, hi] = h.bucket_range(2);
-  EXPECT_DOUBLE_EQ(lo, 4.0);
-  EXPECT_DOUBLE_EQ(hi, 6.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 1.0, 3), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace tangram::common

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -233,25 +231,6 @@ INSTANTIATE_TEST_SUITE_P(
     Fuzz, SessionEquivalence,
     ::testing::Combine(::testing::Range<std::uint64_t>(0, 15),
                        ::testing::Values(0, 1, 2, 3)));
-
-// The batch wrapper's sorted mode replays in area order; spot-check it still
-// matches a manual sorted replay.
-TEST(SessionEquivalence, SortedModeMatchesManualSortedReplay) {
-  common::Rng rng(3, 29);
-  const auto items = random_items(rng, 80, kCanvas);
-  const auto batch =
-      StitchSolver(PackHeuristic::kGuillotineBssf, true).pack(items, kCanvas);
-
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return items[a].area() > items[b].area();
-  });
-  StitchSession session(kCanvas);
-  std::vector<Placement> placements(items.size());
-  for (const std::size_t idx : order) placements[idx] = session.add(items[idx]);
-  EXPECT_TRUE(placements_equal(batch.placements, placements));
-}
 
 }  // namespace
 }  // namespace tangram::core

@@ -161,19 +161,6 @@ TEST(Stitcher, ShelfHeuristicIsValid) {
   expect_valid_packing(result, items, kCanvas);
 }
 
-TEST(Stitcher, SortedModeStillValidAndUsuallyTighter) {
-  common::Rng rng(7, 7);
-  std::vector<common::Size> items;
-  for (int i = 0; i < 80; ++i)
-    items.push_back({rng.uniform_int(30, 600), rng.uniform_int(30, 600)});
-  const auto unsorted =
-      StitchSolver(PackHeuristic::kGuillotineBssf, false).pack(items, kCanvas);
-  const auto sorted =
-      StitchSolver(PackHeuristic::kGuillotineBssf, true).pack(items, kCanvas);
-  expect_valid_packing(sorted, items, kCanvas);
-  EXPECT_LE(sorted.canvas_count, unsorted.canvas_count + 1);
-}
-
 TEST(Stitcher, CanvasFillSumsToEfficiency) {
   common::Rng rng(9, 7);
   std::vector<common::Size> items;
@@ -337,7 +324,7 @@ TEST_P(StitcherProperty, PackingAlwaysValid) {
     items.push_back({rng.uniform_int(1, canvas.width),
                      rng.uniform_int(1, canvas.height)});
 
-  const StitchSolver solver(heuristic, rng.bernoulli(0.5));
+  const StitchSolver solver(heuristic);
   const auto result = solver.pack(items, canvas);
 
   ASSERT_EQ(result.placements.size(), items.size());
