@@ -89,7 +89,7 @@ int main() {
   std::cout << "\nMixed SLO classes (cameras 1-2: 0.6 s, cameras 3-4: "
                "1.6 s), one shared scheduler:\n\n";
   experiments::EndToEndConfig mixed = base;
-  mixed.per_camera_slo = {0.6, 0.6, 1.6, 1.6};
+  mixed.per_stream_slo = {0.6, 0.6, 1.6, 1.6};
   const auto r = experiments::run_end_to_end(
       cameras, experiments::StrategyKind::kTangram, mixed);
   std::cout << "cost $" << common::Table::num(r.total_cost, 4)

@@ -1,6 +1,7 @@
 #include "baselines/strategies.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace tangram::baselines {
 
@@ -19,16 +20,13 @@ void ElfStrategy::on_patch(const core::Patch& patch) {
 
 // --- Clipper -----------------------------------------------------------------------
 
-ClipperStrategy::ClipperStrategy(sim::Simulator& simulator,
-                                 serverless::FunctionPlatform& platform,
+ClipperStrategy::ClipperStrategy(serverless::FunctionPlatform& platform,
                                  ClipperOptions options,
                                  PatchCompletionFn on_done)
-    : sim_(simulator),
-      platform_(platform),
+    : platform_(platform),
       options_(options),
       on_done_(std::move(on_done)),
       max_batch_(options.initial_max_batch) {
-  (void)sim_;
   // Never adapt past what the function's GPU memory can hold.
   options_.max_batch_limit =
       std::min(options_.max_batch_limit,
@@ -112,15 +110,10 @@ void MArkStrategy::on_patch(const core::Patch& patch) {
 }
 
 void MArkStrategy::dispatch() {
-  if (queue_.empty()) {
-    timeout_timer_.cancel();
-    return;
-  }
-
-  const int take = std::min<int>(static_cast<int>(queue_.size()),
-                                 options_.batch_size);
-  std::vector<core::Patch> batch(queue_.begin(), queue_.begin() + take);
-  queue_.erase(queue_.begin(), queue_.begin() + take);
+  // on_patch dispatches the moment the queue reaches batch_size, so the
+  // queue never holds more than one batch: take all of it.
+  std::vector<core::Patch> batch = std::exchange(queue_, {});
+  const int take = static_cast<int>(batch.size());
 
   serverless::RequestSpec spec;
   spec.num_canvases = take;
@@ -131,21 +124,11 @@ void MArkStrategy::dispatch() {
     for (const auto& p : batch)
       if (on_done_) on_done_(p, record);
   });
-
-  // Items beyond batch_size stay queued; restart the timeout for them,
-  // re-arming the still-pending timer in place when a size-triggered
-  // dispatch beat it to the punch.
-  if (!queue_.empty()) {
-    const double when = sim_.now() + options_.timeout_s;
-    if (!sim_.reschedule(timeout_timer_, when))
-      timeout_timer_ = sim_.schedule_at(when, [this] { dispatch(); });
-  } else {
-    timeout_timer_.cancel();
-  }
+  timeout_timer_.cancel();
 }
 
 void MArkStrategy::flush() {
-  while (!queue_.empty()) dispatch();
+  if (!queue_.empty()) dispatch();
 }
 
 }  // namespace tangram::baselines

@@ -14,7 +14,8 @@
 //                   batch per model replica (the NSDI'17 scheme);
 //  * MArk         — patches resized to a fixed model input, dispatched when
 //                   the queue reaches `batch_size` or the oldest item has
-//                   waited `timeout` (batch-size + timeout scheme).
+//                   waited `timeout` (batch-size + timeout scheme); either
+//                   way one batch takes the whole queue.
 //
 // The harness drives on_patch() at network-delivery time and learns about
 // completions through the PatchCompletionFn callback, from which it computes
@@ -77,8 +78,7 @@ struct ClipperOptions {
 
 class ClipperStrategy final : public Strategy {
  public:
-  ClipperStrategy(sim::Simulator& simulator,
-                  serverless::FunctionPlatform& platform,
+  ClipperStrategy(serverless::FunctionPlatform& platform,
                   ClipperOptions options, PatchCompletionFn on_done);
   void on_patch(const core::Patch& patch) override;
   void flush() override;
@@ -88,7 +88,6 @@ class ClipperStrategy final : public Strategy {
  private:
   void maybe_dispatch();
 
-  sim::Simulator& sim_;
   serverless::FunctionPlatform& platform_;
   ClipperOptions options_;
   PatchCompletionFn on_done_;
@@ -122,7 +121,7 @@ class MArkStrategy final : public Strategy {
   serverless::FunctionPlatform& platform_;
   MArkOptions options_;
   PatchCompletionFn on_done_;
-  std::deque<core::Patch> queue_;
+  std::vector<core::Patch> queue_;
   sim::EventHandle timeout_timer_;
 };
 

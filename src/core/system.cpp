@@ -178,11 +178,6 @@ void TangramSystem::receive_patch(StreamId stream, Patch patch) {
   submit(stream, std::move(patch));
 }
 
-void TangramSystem::receive_patch(Patch patch) {
-  if (streams_.empty()) register_stream(StreamConfig{"default", 0.0});
-  receive_patch(StreamId{0}, std::move(patch));
-}
-
 TANGRAM_HOT_PATH void TangramSystem::submit(StreamId stream, Patch patch) {
   ++streams_[static_cast<std::size_t>(stream)].patches_received;
   // Route by stream id, not the cached StreamStats::shard — the rebalancer

@@ -25,8 +25,15 @@ std::string to_string(StrategyKind kind) {
 
 namespace {
 
-// The one place a MultiStreamConfig maps onto a TangramSystem config, so
-// run_multistream and the shared-profiling path (run_sharded, grids) can
+// The SLO class of camera `cam`: its per_stream_slo entry, else slo_s.
+double base_slo(const FleetConfig& config, std::size_t cam) {
+  return cam < config.per_stream_slo.size() ? config.per_stream_slo[cam]
+                                            : config.slo_s;
+}
+
+// The one place a runner config maps onto a TangramSystem config, so
+// run_multistream, run_end_to_end (whose Tangram is a one-shard
+// MultiStreamConfig) and the shared-profiling path (run_sharded, grids) can
 // never drift apart.
 core::TangramSystem::Config system_config_of(const MultiStreamConfig& config) {
   core::TangramSystem::Config system_config;
@@ -47,6 +54,111 @@ core::TangramSystem::Config system_config_of(const MultiStreamConfig& config) {
   return system_config;
 }
 
+// Registers camera i of a fresh system as its stream i.  `per_patch_slo`
+// registers slo_s = 0, so each patch keeps the SLO it was stamped with.
+void register_cameras(core::TangramSystem& system, const FleetConfig& config,
+                      std::size_t cameras, bool per_patch_slo) {
+  for (std::size_t cam = 0; cam < cameras; ++cam)
+    system.register_stream({"cam-" + std::to_string(cam),
+                            per_patch_slo ? 0.0 : base_slo(config, cam)});
+}
+
+// Streams each camera's evaluation frames over `bandwidth_mbps` uplinks (one
+// shared, or one per camera) into the sink, every patch stamped with its
+// camera's SLO class.  One pending frame event per camera (frame i
+// schedules frame i + 1) keeps the event queue O(cameras); capture times
+// are start + phase + i * interval, as an up-front schedule computes them,
+// and cameras of one frame rate keep its same-timestamp order
+// (HarnessTest.TangramEndToEndMatchesGolden pins both).  In-flight patches
+// wait in recycled slots, so a delivery event captures only [this, slot]
+// and fits the simulator's inline storage: no allocation.
+class PatchEmitter {
+ public:
+  using Sink = std::function<void(const core::Patch&)>;
+
+  // Camera i starts start_s[i] seconds late (0 beyond the vector).
+  PatchEmitter(sim::Simulator& sim,
+               const std::vector<const SceneTrace*>& cameras,
+               const FleetConfig& config, bool dedicated_uplinks,
+               std::vector<double> start_s, Sink sink)
+      : sim_(sim),
+        cameras_(cameras),
+        config_(config),
+        start_s_(std::move(start_s)),
+        sink_(std::move(sink)) {
+    for (std::size_t i = 0; i < (dedicated_uplinks ? cameras.size() : 1); ++i)
+      links_.push_back(std::make_unique<net::Link>(sim, config.bandwidth_mbps));
+  }
+  PatchEmitter(const PatchEmitter&) = delete;
+  PatchEmitter& operator=(const PatchEmitter&) = delete;
+
+  // Schedules every camera's first frame.
+  void start() {
+    for (std::size_t cam = 0; cam < cameras_.size(); ++cam)
+      if (cameras_[cam]->eval_frame_count() > 0) schedule(cam, 0);
+  }
+
+  [[nodiscard]] std::size_t patches_sent() const { return next_patch_id_ - 1; }
+  [[nodiscard]] std::size_t bytes_sent() const { return bytes_sent_; }
+  [[nodiscard]] double link_busy_s() const {
+    double busy = 0.0;
+    for (const auto& link : links_) busy += link->transmission_time().sum();
+    return busy;
+  }
+
+ private:
+  void schedule(std::size_t cam, std::size_t i) {
+    const double interval = 1.0 / cameras_[cam]->spec.fps;
+    const double phase = config_.stagger_cameras
+                             ? interval * static_cast<double>(cam) /
+                                   static_cast<double>(cameras_.size())
+                             : 0.0;
+    const double start = cam < start_s_.size() ? start_s_[cam] : 0.0;
+    const double capture = start + phase + static_cast<double>(i) * interval;
+    sim_.schedule_at(capture + config_.edge_latency_s,
+                     [this, cam, i, capture] { emit(cam, i, capture); });
+  }
+
+  void emit(std::size_t cam, std::size_t i, double capture) {
+    const FrameRecord& frame = cameras_[cam]->eval_frame(i);
+    net::Link& link = *links_[links_.size() == 1 ? 0 : cam];
+    for (std::size_t p = 0; p < frame.patches.size(); ++p) {
+      if (free_.empty()) {
+        free_.push_back(static_cast<std::uint32_t>(parked_.size()));
+        parked_.emplace_back();
+      }
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      core::Patch patch;
+      patch.id = next_patch_id_++;
+      patch.camera_id = static_cast<int>(cam);
+      patch.frame_index = frame.frame_index;
+      patch.region = frame.patches[p];
+      patch.generation_time = capture;
+      patch.bytes = frame.patch_bytes[p];
+      patch.slo = base_slo(config_, cam);
+      bytes_sent_ += patch.bytes;
+      parked_[slot] = patch;
+      link.send(patch.bytes, [this, slot] {
+        sink_(parked_[slot]);  // the sink never emits: the slot stays put
+        free_.push_back(slot);
+      });
+    }
+    if (i + 1 < cameras_[cam]->eval_frame_count()) schedule(cam, i + 1);
+  }
+
+  sim::Simulator& sim_;
+  const std::vector<const SceneTrace*>& cameras_;
+  const FleetConfig& config_;
+  std::vector<double> start_s_;
+  Sink sink_;
+  std::vector<std::unique_ptr<net::Link>> links_;
+  std::vector<core::Patch> parked_;
+  std::vector<std::uint32_t> free_;  // parked_ slots not in flight
+  std::uint64_t next_patch_id_ = 1;
+  std::size_t bytes_sent_ = 0;
+};
+
 }  // namespace
 
 RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
@@ -55,14 +167,6 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
     throw std::invalid_argument("run_end_to_end: no cameras");
 
   sim::Simulator sim;
-  // One shared uplink, or one per camera when dedicated_uplinks is set.
-  std::vector<std::unique_ptr<net::Link>> links;
-  const std::size_t link_count = config.dedicated_uplinks ? cameras.size() : 1;
-  for (std::size_t i = 0; i < link_count; ++i)
-    links.push_back(std::make_unique<net::Link>(sim, config.bandwidth_mbps));
-  const auto link_of = [&](std::size_t cam) -> net::Link& {
-    return *links[config.dedicated_uplinks ? cam : 0];
-  };
   RunResult result;
   result.strategy = to_string(kind);
 
@@ -74,10 +178,9 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
     if (record.finish_time > patch.deadline() + 1e-9) ++result.violations;
   };
 
-  // Tangram is the TangramSystem facade on one shard, fed through the
-  // legacy single-stream entry so every patch keeps its camera's SLO; the
-  // baselines invoke a bare platform.  Telemetry comes from whichever
-  // platform ran.
+  // Tangram is the TangramSystem facade on one shard, one stream per camera
+  // registered with the camera's SLO class; the baselines invoke a bare
+  // platform.  Telemetry comes from whichever platform ran.
   std::unique_ptr<core::TangramSystem> tangram;
   std::unique_ptr<serverless::FunctionPlatform> bare;
   std::unique_ptr<baselines::Strategy> strategy;
@@ -86,16 +189,13 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
         sim, config.platform, config.latency, config.seed);
   switch (kind) {
     case StrategyKind::kTangram: {
-      core::TangramSystem::Config system_config;
-      system_config.canvas = config.canvas;
-      system_config.slack_sigma = config.slack_sigma;
-      system_config.heuristic = config.heuristic;
-      system_config.platform = config.platform;
-      system_config.function_latency = config.latency;
-      system_config.sharding = core::ShardPolicy::single();
-      system_config.seed = config.seed;
+      MultiStreamConfig tangram_config;
+      static_cast<FleetConfig&>(tangram_config) = config;
+      tangram_config.sharding = core::ShardPolicy::single();
       tangram = std::make_unique<core::TangramSystem>(
-          sim, std::move(system_config), on_patch_done);
+          sim, system_config_of(tangram_config), on_patch_done);
+      register_cameras(*tangram, config, cameras.size(),
+                       /*per_patch_slo=*/false);
       break;
     }
     case StrategyKind::kFullFrame:
@@ -108,7 +208,7 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
       break;
     case StrategyKind::kClipper:
       strategy = std::make_unique<baselines::ClipperStrategy>(
-          sim, *bare, config.clipper, on_patch_done);
+          *bare, config.clipper, on_patch_done);
       break;
     case StrategyKind::kMArk:
       strategy = std::make_unique<baselines::MArkStrategy>(
@@ -117,56 +217,23 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   }
   const serverless::FunctionPlatform& platform =
       tangram ? tangram->platform() : *bare;
-  const auto deliver = [&](const core::Patch& patch) {
-    if (tangram) {
-      tangram->receive_patch(patch);
-    } else {
-      strategy->on_patch(patch);
-    }
-  };
 
-  // Schedule every evaluation frame of every camera.  Camera phases are
-  // staggered so the shared uplink sees an interleaved arrival process
-  // rather than synchronized frame bursts.
-  std::uint64_t next_patch_id = 1;
-  for (std::size_t cam = 0; cam < cameras.size(); ++cam) {
-    const SceneTrace& trace = *cameras[cam];
-    const double frame_interval = 1.0 / trace.spec.fps;
-    const double phase =
-        config.stagger_cameras
-            ? frame_interval * static_cast<double>(cam) /
-                  static_cast<double>(cameras.size())
-            : 0.0;
-    result.eval_frames += trace.eval_frame_count();
-
-    for (std::size_t i = 0; i < trace.eval_frame_count(); ++i) {
-      const FrameRecord& frame = trace.eval_frame(i);
-      const double capture =
-          phase + static_cast<double>(i) * frame_interval;
-      sim.schedule_at(capture + config.edge_latency_s, [&, cam, capture,
-                                                        &frame = frame]() {
-        // Every strategy (Tangram, ELF-as-trigger-in-sequence, Clipper,
-        // MArk) consumes the same Algorithm-1 patch stream; the ELF-system
-        // encode (elf_patch_bytes) only enters the Fig. 9 bandwidth study
-        // via per_frame_cost().
-        for (std::size_t p = 0; p < frame.patches.size(); ++p) {
-          const std::size_t bytes = frame.patch_bytes[p];
-          result.total_bytes += bytes;
-          core::Patch patch;
-          patch.id = next_patch_id++;
-          patch.camera_id = static_cast<int>(cam);
-          patch.frame_index = frame.frame_index;
-          patch.region = frame.patches[p];
-          patch.generation_time = capture;
-          patch.slo = cam < config.per_camera_slo.size()
-                          ? config.per_camera_slo[cam]
-                          : config.slo_s;
-          patch.bytes = bytes;
-          link_of(cam).send(bytes, [&, patch] { deliver(patch); });
+  // Every strategy (Tangram, ELF-as-trigger-in-sequence, Clipper, MArk)
+  // consumes the same Algorithm-1 patch stream; the ELF-system encode
+  // (elf_patch_bytes) only enters the Fig. 9 bandwidth study via
+  // per_frame_cost().
+  PatchEmitter emitter(
+      sim, cameras, config, config.dedicated_uplinks, /*start_s=*/{},
+      [&](const core::Patch& patch) {
+        if (tangram) {
+          tangram->receive_patch(patch.camera_id, patch);
+        } else {
+          strategy->on_patch(patch);
         }
       });
-    }
-  }
+  emitter.start();
+  for (const SceneTrace* trace : cameras)
+    result.eval_frames += trace->eval_frame_count();
 
   sim.run();
   if (tangram) {
@@ -176,6 +243,7 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   }
   sim.run();
 
+  result.total_bytes = emitter.bytes_sent();
   result.total_cost = platform.total_cost();
   result.invocations = platform.invocations();
   result.instances_created = platform.instances_created();
@@ -184,13 +252,13 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   result.retries = platform.retries();
   result.exec_latency = platform.execution_latency();
   result.execution_busy_s = platform.busy_seconds();
-  for (const auto& link : links)
-    result.transmission_busy_s += link->transmission_time().sum();
+  result.transmission_busy_s = emitter.link_busy_s();
   result.makespan_s = sim.now();
   if (tangram) {
-    result.canvas_efficiency = tangram->invoker().canvas_efficiency();
-    result.batch_canvases = tangram->invoker().batch_canvas_count();
-    result.batch_patches = tangram->invoker().batch_patch_count();
+    core::InvokerStats stats = tangram->pool().aggregate_stats();
+    result.canvas_efficiency = std::move(stats.canvas_efficiency);
+    result.batch_canvases = std::move(stats.batch_canvas_count);
+    result.batch_patches = std::move(stats.batch_patch_count);
   }
   return result;
 }
@@ -226,25 +294,7 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
     throw std::invalid_argument("run_multistream: no cameras");
 
   sim::Simulator sim;
-  // Dedicated uplinks: each stream is an independent site (per-site cellular
-  // modems), so scale-out stresses the scheduler, not one shared pipe.
-  std::vector<std::unique_ptr<net::Link>> links;
-  links.reserve(cameras.size());
-  for (std::size_t i = 0; i < cameras.size(); ++i)
-    links.push_back(std::make_unique<net::Link>(sim, config.bandwidth_mbps));
-
   const bool drifting = config.drift_at_s >= 0.0;
-  const auto base_slo = [&config](std::size_t cam) {
-    return cam < config.per_stream_slo.size() ? config.per_stream_slo[cam]
-                                              : config.slo_s;
-  };
-  // The SLO class a patch captured at `capture` carries in a drifting run.
-  const auto patch_slo = [&](std::size_t cam, double capture) {
-    if (drifting && capture >= config.drift_at_s &&
-        cam < config.drift_to_slo.size() && config.drift_to_slo[cam] > 0.0)
-      return config.drift_to_slo[cam];
-    return base_slo(cam);
-  };
 
   // Per-patch-SLO-class accounting (completions/misses keyed by the SLO the
   // patch carried), filled through the result callback for drifting runs —
@@ -258,93 +308,32 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
         ++tally.first;
         if (record.finish_time > patch.deadline() + 1e-9) ++tally.second;
       });
+  // Drifting runs register every stream with per-patch SLOs (slo_s = 0):
+  // the registration-time router can't see the classes, only the
+  // rebalancer's drift tracking can.
+  register_cameras(system, config, cameras.size(), drifting);
 
-  std::vector<core::StreamId> streams;
-  streams.reserve(cameras.size());
-  for (std::size_t cam = 0; cam < cameras.size(); ++cam) {
-    core::StreamConfig stream;
-    stream.name = "cam-" + std::to_string(cam);
-    // Drifting runs register every stream with per-patch SLOs (slo_s = 0):
-    // the registration-time router can't see the classes, only the
-    // rebalancer's drift tracking can.
-    stream.slo_s = drifting ? 0.0 : base_slo(cam);
-    streams.push_back(system.register_stream(std::move(stream)));
-  }
-
-  MultiStreamResult result;
-  std::uint64_t next_patch_id = 1;
-
-  // Chained per-camera frame scheduling: each camera keeps exactly ONE
-  // pending capture event — emitting frame i schedules frame i+1 — instead
-  // of seeding streams x frames events up front, so the event queue (and the
-  // slot pool backing it) stays O(streams) at city scale.  The capture-time
-  // arithmetic is the legacy upfront loop's, term for term
-  // (phase + i * interval), and the chain preserves the upfront loop's
-  // same-timestamp ordering (cameras seed frame 0 in camera order; frame-i
-  // events execute in that order and schedule frame i+1 in the same order),
-  // so the simulation is byte-identical — regression-tested against the
-  // upfront baselines in tests/test_parallel_runner.cpp.
-  // Scripted load shapes (step / ramp) delay whole streams; start 0.0 adds
-  // an exact 0.0 to every capture time, so the default is byte-identical to
-  // the un-staged schedule.
-  const auto stream_start = [&config](std::size_t cam) {
-    return cam < config.per_stream_start_s.size()
-               ? config.per_stream_start_s[cam]
-               : 0.0;
-  };
-  std::function<void(std::size_t, std::size_t)> emit_frame =
-      [&](std::size_t cam, std::size_t i) {
-        const SceneTrace& trace = *cameras[cam];
-        const double frame_interval = 1.0 / trace.spec.fps;
-        const double phase =
-            config.stagger_cameras
-                ? frame_interval * static_cast<double>(cam) /
-                      static_cast<double>(cameras.size())
-                : 0.0;
-        const double capture = stream_start(cam) + phase +
-                               static_cast<double>(i) * frame_interval;
-        const FrameRecord& frame = trace.eval_frame(i);
-        for (std::size_t p = 0; p < frame.patches.size(); ++p) {
-          core::Patch patch;
-          patch.id = next_patch_id++;
-          patch.camera_id = static_cast<int>(cam);
-          patch.frame_index = frame.frame_index;
-          patch.region = frame.patches[p];
-          patch.generation_time = capture;
-          patch.bytes = frame.patch_bytes[p];
-          // Non-drifting runs leave patch.slo alone — the system stamps the
-          // stream's registered class exactly as before.
-          if (drifting) patch.slo = patch_slo(cam, capture);
-          ++result.patches_sent;
-          links[cam]->send(patch.bytes, [&, cam, patch] {
-            system.receive_patch(streams[cam], patch);
-          });
-        }
-        if (i + 1 < trace.eval_frame_count()) {
-          const double next_capture = stream_start(cam) + phase +
-                                      static_cast<double>(i + 1) *
-                                          frame_interval;
-          sim.schedule_at(next_capture + config.edge_latency_s,
-                          [&emit_frame, cam, i] { emit_frame(cam, i + 1); });
-        }
-      };
-  for (std::size_t cam = 0; cam < cameras.size(); ++cam) {
-    const SceneTrace& trace = *cameras[cam];
-    if (trace.eval_frame_count() == 0) continue;
-    const double frame_interval = 1.0 / trace.spec.fps;
-    const double phase =
-        config.stagger_cameras
-            ? frame_interval * static_cast<double>(cam) /
-                  static_cast<double>(cameras.size())
-            : 0.0;
-    sim.schedule_at(stream_start(cam) + phase + config.edge_latency_s,
-                    [&emit_frame, cam] { emit_frame(cam, 0); });
-  }
+  // Dedicated uplinks: each stream is an independent site (per-site cellular
+  // modems), so scale-out stresses the scheduler, not one shared pipe.  A
+  // drifting stream's patch captured at t >= drift_at_s carries its drift
+  // class instead of the base class the emitter stamped.
+  PatchEmitter emitter(
+      sim, cameras, config, /*dedicated_uplinks=*/true,
+      config.per_stream_start_s, [&](core::Patch patch) {
+        const auto cam = static_cast<std::size_t>(patch.camera_id);
+        if (drifting && patch.generation_time >= config.drift_at_s &&
+            cam < config.drift_to_slo.size() && config.drift_to_slo[cam] > 0.0)
+          patch.slo = config.drift_to_slo[cam];
+        system.receive_patch(patch.camera_id, patch);
+      });
+  emitter.start();
 
   sim.run();
   system.flush();
   sim.run();
 
+  MultiStreamResult result;
+  result.patches_sent = emitter.patches_sent();
   result.streams = system.streams();
   for (const auto& stream : result.streams) {
     result.patches_completed += stream.patches_completed;

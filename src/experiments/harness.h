@@ -9,14 +9,19 @@
 //  * run_end_to_end(): the Fig. 12-14 methodology — cameras stream patches
 //    over a shared bandwidth-limited uplink into a live scheduler on the
 //    discrete-event simulator (Tangram is the TangramSystem facade on one
-//    shard; ELF, Clipper and MArk are baselines:: strategies), with
-//    SLO-violation accounting.  Full/Masked Frame are per-frame-only and
-//    throw std::invalid_argument here;
+//    shard, one stream per camera; ELF, Clipper and MArk are baselines::
+//    strategies), with SLO-violation accounting.  Full/Masked Frame are
+//    per-frame-only and throw std::invalid_argument here;
 //  * run_multistream(): the scale-out scenario beyond the paper — N cameras
 //    registered as first-class streams on ONE TangramSystem facade (shared
 //    invoker + platform, cross-stream canvas stitching), with per-stream
 //    SLO classes and per-stream telemetry.  This is what
 //    bench_multistream_scale sweeps from 1 stream to city scale (10k).
+//
+// Both live runners take a FleetConfig (the fields they share) and stream
+// their cameras through one patch emitter: one pending frame event per
+// camera, and each in-flight patch parked in a recycled slot so uplink
+// delivery allocates nothing per patch.
 //
 // Every runner is an independent deterministic simulation over shared
 // immutable traces, so grids of them parallelize across threads via
@@ -51,9 +56,16 @@ enum class StrategyKind {
 
 [[nodiscard]] std::string to_string(StrategyKind kind);
 
-struct EndToEndConfig {
+// The fields both live runners share: camera i streams over a
+// `bandwidth_mbps` uplink into a cloud stack built from canvas / slack /
+// heuristic / platform / latency / seed.
+struct FleetConfig {
   double bandwidth_mbps = 40.0;
-  double slo_s = 1.0;
+  double slo_s = 1.0;  // default SLO class
+  // Override the SLO class of camera i; cameras beyond the vector use
+  // slo_s.  Lets mixed SLO classes share one scheduler — the invoker
+  // handles heterogeneous deadlines natively.
+  std::vector<double> per_stream_slo;
   common::Size canvas{1024, 1024};
   double slack_sigma = 3.0;
   core::PackHeuristic heuristic = core::PackHeuristic::kGuillotineBssf;
@@ -61,20 +73,19 @@ struct EndToEndConfig {
   // GPU speed profile: default = the paper's RTX 4090 testbed (Fig. 12-14);
   // use serverless::alibaba_function_compute_params() for the Fig. 8/9 study.
   serverless::LatencyModelParams latency;
+  double edge_latency_s = 0.02;  // on-edge partition + encode time
+  bool stagger_cameras = true;   // offset camera phases
+  std::uint64_t seed = 7;
+};
+
+struct EndToEndConfig : FleetConfig {
   baselines::ClipperOptions clipper;
   baselines::MArkOptions mark;
   baselines::ElfOptions elf;
-  double edge_latency_s = 0.02;  // on-edge partition + encode time
-  bool stagger_cameras = true;   // offset camera phases on the shared link
   // false: all cameras share one `bandwidth_mbps` uplink (the paper's
   // setting).  true: each camera gets its own `bandwidth_mbps` link
   // (e.g. per-site cellular uplinks).
   bool dedicated_uplinks = false;
-  // Override the per-camera SLO; entry i applies to camera i (cameras
-  // beyond the vector use slo_s).  Lets mixed SLO classes share one
-  // scheduler — the invoker handles heterogeneous deadlines natively.
-  std::vector<double> per_camera_slo;
-  std::uint64_t seed = 7;
 };
 
 struct RunResult {
@@ -113,18 +124,8 @@ struct RunResult {
 
 // --- multi-stream scale-out scenario ----------------------------------------
 
-struct MultiStreamConfig {
-  double bandwidth_mbps = 40.0;  // each stream's dedicated uplink
-  double slo_s = 1.0;            // default SLO class
-  common::Size canvas{1024, 1024};
-  double slack_sigma = 3.0;
-  core::PackHeuristic heuristic = core::PackHeuristic::kGuillotineBssf;
-  serverless::PlatformConfig platform;
-  serverless::LatencyModelParams latency;
-  double edge_latency_s = 0.02;  // on-edge partition + encode time
-  bool stagger_cameras = true;   // offset camera phases
-  // Override the SLO class of stream i; streams beyond the vector use slo_s.
-  std::vector<double> per_stream_slo;
+// Every stream gets its own `bandwidth_mbps` uplink.
+struct MultiStreamConfig : FleetConfig {
   // Delay stream i's first frame by this many seconds (streams beyond the
   // vector start at 0).  Scripted step-load / ramp scenarios for the
   // provisioning study reuse ONE trace with staged starts instead of
@@ -166,7 +167,6 @@ struct MultiStreamConfig {
   // independent sim, so legs run concurrently with bit-identical results.
   // 1 = serial (default); 0 = hardware_concurrency.
   int jobs = 1;
-  std::uint64_t seed = 7;
 };
 
 // Ready-made capacity plan for mixed-SLO fleets: shards whose SLO class is

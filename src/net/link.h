@@ -1,14 +1,16 @@
 // Bandwidth-limited uplink model.
 //
-// A Link is a FIFO store-and-forward pipe with a fixed rate (Mbps) and an
-// optional propagation delay.  Transfers serialize: a message's transmission
-// starts when the link frees up, and delivery fires as a simulator event.
-// This matches how the paper emulates 20/40/80 Mbps uplinks to "simulate
-// different arrival speeds of patches".
+// A Link is a FIFO store-and-forward pipe with a fixed rate (Mbps).
+// Transfers serialize: a message's transmission starts when the link frees
+// up, and delivery fires as a simulator event.  This matches how the paper
+// emulates 20/40/80 Mbps uplinks to "simulate different arrival speeds of
+// patches".
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 #include <utility>
 
 #include "common/stats.h"
@@ -18,39 +20,26 @@ namespace tangram::net {
 
 class Link {
  public:
-  // `mbps` uses network convention: 1 Mbps = 1e6 bits/s.
-  Link(sim::Simulator& simulator, double mbps, double propagation_delay_s = 0.0)
-      : sim_(simulator),
-        bytes_per_second_(mbps * 1.0e6 / 8.0),
-        propagation_delay_(propagation_delay_s) {
-    if (mbps <= 0) throw std::invalid_argument("Link: rate must be positive");
+  // `mbps` uses network convention: 1 Mbps = 1e6 bits/s.  A NaN rate fails
+  // the check too.
+  Link(sim::Simulator& simulator, double mbps)
+      : sim_(simulator), bytes_per_second_(mbps * 1.0e6 / 8.0) {
+    if (!(mbps > 0.0))
+      throw std::invalid_argument("Link: rate must be positive");
   }
 
   // Queue `bytes` for transmission; `on_delivered` runs at delivery time.
-  // Returns the scheduled delivery time.  Templated so small callbacks ride
-  // the simulator's inline event storage instead of a std::function heap
-  // allocation per delivery.
+  // Templated so small callbacks ride the simulator's inline event storage
+  // instead of a std::function heap allocation per delivery.
   template <typename Fn>
-  sim::TimePoint send(std::size_t bytes, Fn&& on_delivered) {
+  void send(std::size_t bytes, Fn&& on_delivered) {
     const double start = std::max(sim_.now(), busy_until_);
     const double tx = static_cast<double>(bytes) / bytes_per_second_;
     busy_until_ = start + tx;
-    const double deliver_at = busy_until_ + propagation_delay_;
-    queueing_delay_.add(start - sim_.now());
     transmission_time_.add(tx);
-    total_bytes_ += bytes;
-    sim_.schedule_at(deliver_at, std::forward<Fn>(on_delivered));
-    return deliver_at;
+    sim_.schedule_at(busy_until_, std::forward<Fn>(on_delivered));
   }
 
-  [[nodiscard]] double rate_bytes_per_second() const {
-    return bytes_per_second_;
-  }
-  [[nodiscard]] std::size_t total_bytes() const { return total_bytes_; }
-  [[nodiscard]] sim::TimePoint busy_until() const { return busy_until_; }
-  [[nodiscard]] const common::RunningStats& queueing_delay() const {
-    return queueing_delay_;
-  }
   [[nodiscard]] const common::RunningStats& transmission_time() const {
     return transmission_time_;
   }
@@ -58,10 +47,7 @@ class Link {
  private:
   sim::Simulator& sim_;
   double bytes_per_second_;
-  double propagation_delay_;
   sim::TimePoint busy_until_ = 0.0;
-  std::size_t total_bytes_ = 0;
-  common::RunningStats queueing_delay_;
   common::RunningStats transmission_time_;
 };
 

@@ -80,7 +80,6 @@ LearnedExtractorProfile ssdlite_mobilenetv2_profile() {
   // Table IV: RoI-only AP 0.436, bandwidth 82.26% — a proposer with loose,
   // over-sized boxes (high bandwidth) and mediocre recall on small objects.
   LearnedExtractorProfile p;
-  p.name = "SSDLite-MobileNetV2";
   p.plateau = 0.82;
   p.d50_px = 52.0;
   p.steepness = 1.35;
@@ -93,7 +92,6 @@ LearnedExtractorProfile yolov3_mobilenetv2_profile() {
   // Table IV: RoI-only AP 0.397, bandwidth 54.81% — tight boxes (cheap) but
   // the worst recall of the four extractors.
   LearnedExtractorProfile p;
-  p.name = "Yolov3-MobileNetV2";
   p.plateau = 0.74;
   p.d50_px = 58.0;
   p.steepness = 1.3;

@@ -38,7 +38,6 @@ struct FrameInput {
 class RoiExtractor {
  public:
   virtual ~RoiExtractor() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
   // Returns RoI boxes in native frame coordinates.
   virtual std::vector<common::Rect> extract(const FrameInput& input) = 0;
 };
@@ -48,7 +47,6 @@ class GmmRoiExtractor final : public RoiExtractor {
  public:
   GmmRoiExtractor(common::Size analysis, GmmParams gmm = {},
                   ComponentParams components = {});
-  [[nodiscard]] std::string name() const override { return "GMM"; }
   std::vector<common::Rect> extract(const FrameInput& input) override;
 
  private:
@@ -69,7 +67,6 @@ class OpticalFlowExtractor final : public RoiExtractor {
   OpticalFlowExtractor(common::Size analysis,
                        double magnitude_threshold = 21.0,
                        ComponentParams components = {});
-  [[nodiscard]] std::string name() const override { return "OpticalFlow"; }
   std::vector<common::Rect> extract(const FrameInput& input) override;
 
  private:
@@ -82,7 +79,6 @@ class OpticalFlowExtractor final : public RoiExtractor {
 
 // --- Simulated lightweight learned detectors --------------------------------
 struct LearnedExtractorProfile {
-  std::string name;
   double plateau = 0.85;     // max recall on large objects
   double d50_px = 42.0;      // sqrt(object area) at 50% recall (native px)
   double steepness = 1.5;
@@ -97,7 +93,6 @@ struct LearnedExtractorProfile {
 class LearnedRoiExtractor final : public RoiExtractor {
  public:
   LearnedRoiExtractor(LearnedExtractorProfile profile, common::Rng rng);
-  [[nodiscard]] std::string name() const override { return profile_.name; }
   std::vector<common::Rect> extract(const FrameInput& input) override;
 
  private:

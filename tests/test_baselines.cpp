@@ -52,10 +52,11 @@ TEST(ClipperStrategy, ServesImmediatelyWhenIdle) {
   serverless::FunctionPlatform platform(sim, fast_platform(),
                                         deterministic_latency());
   int completions = 0;
-  ClipperStrategy clipper(sim, platform, ClipperOptions{},
-                          [&](const core::Patch&, const serverless::InvocationRecord&) {
-                            ++completions;
-                          });
+  ClipperStrategy clipper(
+      platform, ClipperOptions{},
+      [&](const core::Patch&, const serverless::InvocationRecord&) {
+        ++completions;
+      });
   clipper.on_patch(make_patch(1, 0.0));
   sim.run();
   EXPECT_EQ(completions, 1);
@@ -69,15 +70,12 @@ TEST(ClipperStrategy, QueuedPatchesBatchWhileBusy) {
   std::vector<int> batch_sizes;
   ClipperOptions options;
   options.initial_max_batch = 8;
-  ClipperStrategy clipper(sim, platform, options,
-                          [&](const core::Patch&, const serverless::InvocationRecord& r) {
-                            if (batch_sizes.empty() ||
-                                r.id != static_cast<std::uint64_t>(-1)) {
-                            }
-                            if (batch_sizes.empty() ||
-                                batch_sizes.back() != r.spec.num_items)
-                              batch_sizes.push_back(r.spec.num_items);
-                          });
+  ClipperStrategy clipper(
+      platform, options,
+      [&](const core::Patch&, const serverless::InvocationRecord& r) {
+        if (batch_sizes.empty() || batch_sizes.back() != r.spec.num_items)
+          batch_sizes.push_back(r.spec.num_items);
+      });
   // First patch dispatches alone; the next 4 arrive while it is in flight
   // and go out as one batch.
   sim.schedule_at(0.0, [&] { clipper.on_patch(make_patch(1, 0.0)); });
@@ -99,7 +97,7 @@ TEST(ClipperStrategy, AimdDecreasesOnViolation) {
   serverless::FunctionPlatform platform(sim, config, slow);
   ClipperOptions options;
   options.initial_max_batch = 8;
-  ClipperStrategy clipper(sim, platform, options, nullptr);
+  ClipperStrategy clipper(platform, options, nullptr);
   const double before = clipper.current_max_batch();
   clipper.on_patch(make_patch(1, 0.0, /*slo=*/0.5));
   sim.run();
@@ -112,7 +110,7 @@ TEST(ClipperStrategy, AimdIncreasesOnSuccess) {
                                         deterministic_latency());
   ClipperOptions options;
   options.initial_max_batch = 4;
-  ClipperStrategy clipper(sim, platform, options, nullptr);
+  ClipperStrategy clipper(platform, options, nullptr);
   const double before = clipper.current_max_batch();
   clipper.on_patch(make_patch(1, 0.0, /*slo=*/10.0));
   sim.run();

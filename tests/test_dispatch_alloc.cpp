@@ -11,6 +11,9 @@
 // Hashes were captured on the pre-recycling tree (PR 7) for a fleet config
 // distinct from test_rebalance's (scene 47, 16 streams, 8 instances,
 // reserved tight pool), at jobs 1 and 8, plus the reservoir-telemetry mode.
+//
+// Suite 3 counts what the harness runners spend per patch on top of the
+// system: uplink delivery must not heap-allocate.
 
 #include <gtest/gtest.h>
 
@@ -192,6 +195,51 @@ TEST(DispatchAlloc, RecycledBatchPathIsByteIdenticalWithReservoirTelemetry) {
   const auto direct = experiments::run_multistream(g.fleet, g.config);
   EXPECT_EQ(fnv1a(experiments::deterministic_json(direct)),
             golden::kFleetReservoirDirect);
+}
+
+// --- suite 3: harness delivery -----------------------------------------------
+
+// Allocations per completed patch that 16 more cameras add: `run` maps a
+// fleet to its completed patches, and the difference between a 32- and a
+// 16-camera run cancels start-up growth (profiling, freelists, telemetry
+// vectors).  A delivery event that heap-allocates reads at least 1.
+template <typename Run>
+double marginal_allocs_per_patch(const experiments::SceneTrace& trace,
+                                 Run run) {
+  const std::vector<const experiments::SceneTrace*> small(16, &trace);
+  const std::vector<const experiments::SceneTrace*> large(32, &trace);
+  const common::AllocationProbe small_probe;
+  const std::size_t small_patches = run(small);
+  const std::size_t small_allocs = small_probe.allocations();
+  const common::AllocationProbe large_probe;
+  const std::size_t large_patches = run(large);
+  const std::size_t large_allocs = large_probe.allocations();
+  EXPECT_GT(large_patches, small_patches);
+  return static_cast<double>(large_allocs - small_allocs) /
+         static_cast<double>(large_patches - small_patches);
+}
+
+TEST(DispatchAlloc, HarnessDeliveryAllocatesNothingPerPatch) {
+  GoldenFleet g;
+  // Cameras 16-31 repeat the SLO pattern, so both fleets route to the same
+  // shards and pools.
+  for (std::size_t i = 16; i < 32; ++i)
+    g.config.per_stream_slo.push_back(g.config.per_stream_slo[i - 16]);
+  const double multistream = marginal_allocs_per_patch(
+      g.trace, [&](const std::vector<const experiments::SceneTrace*>& fleet) {
+        return experiments::run_multistream(fleet, g.config).patches_completed;
+      });
+  EXPECT_LT(multistream, 0.5);
+
+  experiments::EndToEndConfig end_to_end;
+  static_cast<experiments::FleetConfig&>(end_to_end) = g.config;
+  const double tangram = marginal_allocs_per_patch(
+      g.trace, [&](const std::vector<const experiments::SceneTrace*>& fleet) {
+        return experiments::run_end_to_end(
+                   fleet, experiments::StrategyKind::kTangram, end_to_end)
+            .completed_items;
+      });
+  EXPECT_LT(tangram, 0.5);
 }
 
 }  // namespace

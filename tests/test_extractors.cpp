@@ -123,14 +123,16 @@ TEST(LearnedExtractor, RequiresGroundTruth) {
 }
 
 TEST(ExtractorFactory, BuildsAllTableIvRows) {
-  for (const char* kind : {"GMM", "OpticalFlow", "SSDLite-MobileNetV2",
-                           "Yolov3-MobileNetV2"}) {
-    const auto extractor = make_extractor(kind, {240, 135}, 3);
-    ASSERT_NE(extractor, nullptr);
-    EXPECT_EQ(extractor->name(), kind);
-  }
-  EXPECT_THROW((void)make_extractor("nope", {240, 135}, 3),
-               std::invalid_argument);
+  const auto build = [](const char* kind) {
+    return make_extractor(kind, {240, 135}, 3);
+  };
+  EXPECT_NE(dynamic_cast<GmmRoiExtractor*>(build("GMM").get()), nullptr);
+  EXPECT_NE(dynamic_cast<OpticalFlowExtractor*>(build("OpticalFlow").get()),
+            nullptr);
+  for (const char* kind : {"SSDLite-MobileNetV2", "Yolov3-MobileNetV2"})
+    EXPECT_NE(dynamic_cast<LearnedRoiExtractor*>(build(kind).get()), nullptr)
+        << kind;
+  EXPECT_THROW((void)build("nope"), std::invalid_argument);
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST_F(HarnessTest, DedicatedUplinksReduceQueueing) {
 TEST_F(HarnessTest, PerCameraSloOverridesDefault) {
   EndToEndConfig config = quick_config();
   config.slo_s = 10.0;               // default very loose
-  config.per_camera_slo = {0.001};   // camera 0 impossible to meet
+  config.per_stream_slo = {0.001};   // camera 0 impossible to meet
   const auto result =
       run_end_to_end({trace_, trace_}, StrategyKind::kTangram, config);
   // Camera 0's patches all violate; camera 1's (default SLO) all pass.
@@ -222,7 +222,7 @@ TEST_F(HarnessTest, TangramEndToEndMatchesGolden) {
     c.dedicated_uplinks = true;
   });
   add("mixed_camera_slo", 3, 0x8531708915760703ull,
-      [](EndToEndConfig& c) { c.per_camera_slo = {0.4, 2.0}; });
+      [](EndToEndConfig& c) { c.per_stream_slo = {0.4, 2.0}; });
   add("tight_slo", 2, 0x5f0b762bbde533d4ull,
       [](EndToEndConfig& c) { c.slo_s = 0.5; });
   add("canvas_512_tiles", 2, 0xaa7264ab62a8b0bfull,

@@ -302,16 +302,16 @@ TEST(InvokerPoolSystem, RouterStampsShardOnStreamStats) {
   EXPECT_EQ(system.pool().shard_count(), 2u);
 }
 
-TEST(InvokerPoolSystem, LegacyInvokerAccessorGuardedUntilFirstShard) {
+TEST(InvokerPoolSystem, ShardZeroExistsOnceTheFirstStreamRoutes) {
   sim::Simulator sim;
   TangramSystem lazy(sim, system_config(ShardPolicy::per_slo_class()),
                      nullptr);
-  EXPECT_THROW((void)lazy.invoker(), std::logic_error);
+  EXPECT_THROW((void)lazy.pool().shard(0), std::out_of_range);
   (void)lazy.register_stream({"first", 1.0});
-  EXPECT_NO_THROW((void)lazy.invoker());
+  EXPECT_NO_THROW((void)lazy.pool().shard(0));
 
   TangramSystem eager(sim, system_config(ShardPolicy::single()), nullptr);
-  EXPECT_NO_THROW((void)eager.invoker());  // single() shard exists eagerly
+  EXPECT_NO_THROW((void)eager.pool().shard(0));  // single() shard is eager
 }
 
 TEST(InvokerPool, PerSloClassKeysAreExactNotSixDecimals) {

@@ -31,9 +31,10 @@ TEST(TangramSystem, PatchesFlowThroughToResults) {
                        [&](const Patch& p, const serverless::InvocationRecord&) {
                          completed.push_back(p.id);
                        });
+  const StreamId stream = system.register_stream();
   sim.schedule_at(0.0, [&] {
     for (std::uint64_t i = 1; i <= 4; ++i)
-      system.receive_patch(make_patch(i, {300, 300}, 0.0));
+      system.receive_patch(stream, make_patch(i, {300, 300}, 0.0));
   });
   sim.run();
   EXPECT_EQ(completed.size(), 4u);
@@ -49,11 +50,13 @@ TEST(TangramSystem, MeetsSloOnSteadyStream) {
                          ++completed;
                          if (r.finish_time > p.deadline()) ++violations;
                        });
+  const StreamId stream = system.register_stream();
   for (int frame = 0; frame < 20; ++frame) {
     for (int k = 0; k < 5; ++k) {
       const double t = frame * 0.5 + k * 0.01;
-      sim.schedule_at(t, [&system, t] {
+      sim.schedule_at(t, [&system, stream, t] {
         system.receive_patch(
+            stream,
             make_patch(static_cast<std::uint64_t>(t * 1000), {250, 350}, t));
       });
     }
@@ -72,9 +75,10 @@ TEST(TangramSystem, OversizedPatchTiledTransparently) {
                        [&](const Patch&, const serverless::InvocationRecord&) {
                          ++completed;
                        });
+  const StreamId stream = system.register_stream();
   Patch big = make_patch(1, {1, 1}, 0.0);
   big.region = {100, 100, 2500, 600};
-  sim.schedule_at(0.0, [&] { system.receive_patch(big); });
+  sim.schedule_at(0.0, [&] { system.receive_patch(stream, big); });
   sim.run();
   system.flush();
   sim.run();
@@ -159,18 +163,6 @@ TEST(TangramSystem, PerStreamViolationTelemetry) {
   EXPECT_EQ(system.stream_stats(relaxed).slo_violations, 0u);
 }
 
-TEST(TangramSystem, LegacyEntryRoutesToDefaultStream) {
-  sim::Simulator sim;
-  TangramSystem system(sim, quiet_config(), nullptr);
-  EXPECT_EQ(system.stream_count(), 0u);
-  sim.schedule_at(0.0,
-                  [&] { system.receive_patch(make_patch(1, {300, 300}, 0.0)); });
-  sim.run();
-  ASSERT_EQ(system.stream_count(), 1u);
-  EXPECT_EQ(system.stream_stats(0).name, "default");
-  EXPECT_EQ(system.stream_stats(0).patches_completed, 1u);
-}
-
 TEST(TangramSystem, UnknownStreamIdThrows) {
   sim::Simulator sim;
   TangramSystem system(sim, quiet_config(), nullptr);
@@ -208,10 +200,11 @@ TEST(TangramSystem, SplitPatchBytesSumExactlyToOriginal) {
                          bytes_seen += p.bytes;
                          ++tiles_seen;
                        });
+  const StreamId stream = system.register_stream();
   Patch big = make_patch(1, {1, 1}, 0.0);
   big.region = {100, 100, 2500, 600};
   big.bytes = 100003;  // prime: indivisible by any tile count
-  sim.schedule_at(0.0, [&] { system.receive_patch(big); });
+  sim.schedule_at(0.0, [&] { system.receive_patch(stream, big); });
   sim.run();
   system.flush();
   sim.run();
@@ -240,7 +233,8 @@ TEST(TangramSystem, FlushIsIdempotent) {
                        [&](const Patch&, const serverless::InvocationRecord&) {
                          ++completed;
                        });
-  system.receive_patch(make_patch(1, {200, 200}, 0.0, 100.0));
+  system.receive_patch(system.register_stream(),
+                       make_patch(1, {200, 200}, 0.0, 100.0));
   system.flush();
   system.flush();
   sim.run();
