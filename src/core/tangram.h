@@ -24,7 +24,7 @@
 //
 // Build: cmake -B build -S . && cmake --build build -j
 // Test:  cd build && ctest --output-on-failure -j
-// Scale: build/bench_multistream_scale sweeps 1 -> 64 streams.
+// Scale: build/bench_multistream_scale sweeps 1 -> 4096 streams by default.
 
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "experiments/harness.h"
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -29,6 +30,21 @@ namespace {
 double base_slo(const FleetConfig& config, std::size_t cam) {
   return cam < config.per_stream_slo.size() ? config.per_stream_slo[cam]
                                             : config.slo_s;
+}
+
+// Throws unless every camera's SLO class is positive and finite.  Otherwise
+// every patch would silently miss (<= 0), none would (+inf), or, for NaN,
+// none would or the run would stop midway.
+void check_slo_classes(const char* runner, const FleetConfig& config,
+                       std::size_t cameras) {
+  for (std::size_t cam = 0; cam < cameras; ++cam) {
+    const double slo = base_slo(config, cam);
+    if (!(slo > 0.0) || !std::isfinite(slo))
+      throw std::invalid_argument(std::string(runner) + ": camera cam-" +
+                                  std::to_string(cam) + " has SLO class " +
+                                  std::to_string(slo) +
+                                  " s; it must be positive and finite");
+  }
 }
 
 // The one place a runner config maps onto a TangramSystem config, so
@@ -165,6 +181,7 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
                          StrategyKind kind, const EndToEndConfig& config) {
   if (cameras.empty())
     throw std::invalid_argument("run_end_to_end: no cameras");
+  check_slo_classes("run_end_to_end", config, cameras.size());
 
   sim::Simulator sim;
   RunResult result;
@@ -292,6 +309,7 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
                                   const MultiStreamConfig& config) {
   if (cameras.empty())
     throw std::invalid_argument("run_multistream: no cameras");
+  check_slo_classes("run_multistream", config, cameras.size());
 
   sim::Simulator sim;
   const bool drifting = config.drift_at_s >= 0.0;
@@ -368,9 +386,7 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
   result.fleet_size = system.platform().fleet_size();
   // Predictive-provisioning roll-up: sums over EVERY pool (the per-pool
   // telemetry above keeps the series), matching the facade accessors.
-  const serverless::AutoscalePolicy& autoscale = config.platform.autoscale;
-  result.forecast_active = autoscale.forecasting();
-  result.forecast_horizon = autoscale.horizon;
+  result.forecast_active = config.platform.autoscale.forecasting();
   for (const serverless::PoolTelemetry& pool : result.pools)
     result.autoscale_samples += pool.series.size();
   result.prewarm_boots = system.prewarm_boots();
@@ -407,8 +423,7 @@ ShardedRunResult run_sharded(const std::vector<const SceneTrace*>& cameras,
   // The single/sharded legs measure the invoker layout alone: strip the
   // capacity plan, any autoscale policy, AND any rebalance policy so they
   // keep matching the PR-2 baselines byte-for-byte; only the reserved leg
-  // runs the caller's provisioning config (still without rebalancing — the
-  // rebalanced leg isolates the adaptive layer).
+  // runs the caller's provisioning config (still without rebalancing).
   MultiStreamConfig single_config = config;
   single_config.sharding = core::ShardPolicy::single();
   single_config.pool_for_shard = nullptr;
@@ -433,39 +448,24 @@ ShardedRunResult run_sharded(const std::vector<const SceneTrace*>& cameras,
     reserved_config.rebalance = core::RebalancePolicy{};
     cells.push_back({cameras, std::move(reserved_config)});
   }
-  // The adaptive leg: per-class shards plus the caller's RebalancePolicy,
-  // with capacity plan / autoscale stripped exactly like the sharded leg —
-  // so sharded vs rebalanced is the adaptive layer, nothing else.
-  if (config.rebalance.active()) {
-    MultiStreamConfig rebalanced_config = config;
-    rebalanced_config.sharding = core::ShardPolicy::per_slo_class();
-    rebalanced_config.pool_for_shard = nullptr;
-    rebalanced_config.platform.autoscale = serverless::AutoscalePolicy{};
-    cells.push_back({cameras, std::move(rebalanced_config)});
-  }
   if (!config.profiled_estimator) {
     const auto profile = core::TangramSystem::profile_estimator(
         system_config_of(cells.front().config));
     for (MultiStreamCell& cell : cells) cell.config.profiled_estimator = profile;
   }
 
-  auto outcomes = run_multistream_cells(cells, config.jobs);
+  auto legs = run_multistream_cells(cells, config.jobs);
   ShardedRunResult result;
-  result.single = std::move(outcomes[0].result);
-  result.sharded = std::move(outcomes[1].result);
-  std::size_t next = 2;
+  result.single = std::move(legs[0]);
+  result.sharded = std::move(legs[1]);
   if (config.pool_for_shard) {
-    result.sharded_reserved = std::move(outcomes[next++].result);
+    result.sharded_reserved = std::move(legs[2]);
     result.has_reserved = true;
-  }
-  if (config.rebalance.active()) {
-    result.rebalanced = std::move(outcomes[next++].result);
-    result.has_rebalanced = true;
   }
   return result;
 }
 
-std::vector<SweepCellOutcome<MultiStreamResult>> run_multistream_cells(
+std::vector<MultiStreamResult> run_multistream_cells(
     const std::vector<MultiStreamCell>& cells, int jobs) {
   const ParallelSweepRunner runner(jobs);
   return runner.map(cells.size(), [&](std::size_t i) {
@@ -552,11 +552,10 @@ std::string deterministic_json(const MultiStreamResult& result) {
   out += ']';
   // Forecast-driven provisioning block: emitted only when a forecast policy
   // drove the run, so static and reactive runs keep their pre-forecast byte
-  // stream — same gating pattern as the rebalance block below.
+  // stream — same gating pattern as the rebalance block below.  Accuracy is
+  // scored one tick ahead.
   if (result.forecast_active) {
-    out += ",\"forecast\":{\"horizon\":" +
-           std::to_string(result.forecast_horizon);
-    out += ",\"autoscale_samples\":" +
+    out += ",\"forecast\":{\"autoscale_samples\":" +
            std::to_string(result.autoscale_samples);
     out += ",\"prewarm_boots\":" + std::to_string(result.prewarm_boots);
     out += ",\"prewarm_cost\":" + fmt(result.prewarm_cost);
@@ -564,7 +563,7 @@ std::string deterministic_json(const MultiStreamResult& result) {
     for (std::size_t i = 0; i < result.pools.size(); ++i) {
       const serverless::PoolTelemetry& p = result.pools[i];
       const serverless::forecast::Accuracy acc = serverless::forecast::accuracy(
-          p.demand_history, p.forecast_history, result.forecast_horizon);
+          p.demand_history, p.forecast_history, 1);
       if (i) out += ',';
       out += "{\"name\":\"" + p.name + "\"";
       out += ",\"samples\":" + std::to_string(p.demand_history.size());

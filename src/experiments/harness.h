@@ -191,10 +191,7 @@ struct MultiStreamResult {
   std::size_t invocations = 0;
   std::size_t batches = 0;
   double makespan_s = 0.0;
-  // Simulator events fired during the run; with the caller's wall-clock
-  // timer this yields events/sec, the engine-throughput axis of the perf
-  // trajectory (BENCH_multistream.json).
-  std::uint64_t events_executed = 0;
+  std::uint64_t events_executed = 0;  // simulator events fired during the run
   common::Sampler batch_canvases;
   common::Sampler canvas_efficiency;
   // Platform capacity telemetry: one entry per capacity pool (default pool
@@ -213,7 +210,6 @@ struct MultiStreamResult {
   // Summed across EVERY capacity pool (never pool-0-only); per-pool series
   // (demand/forecast histories) stay on `pools`.
   bool forecast_active = false;  // a forecast policy drove limits
-  std::size_t forecast_horizon = 1;     // the policy's horizon, in ticks
   std::uint64_t autoscale_samples = 0;  // AutoscaleSample entries, all pools
   std::uint64_t prewarm_boots = 0;
   double prewarm_cost = 0.0;  // already included in total_cost
@@ -284,17 +280,15 @@ struct MultiStreamCell {
 // Run every cell through run_multistream() on a ParallelSweepRunner worker
 // pool (jobs <= 0: hardware_concurrency).  Cells are independent sims over
 // shared immutable traces, so the returned results — ordered by cell index —
-// are bit-identical for every job count; only the CellTiming (wall ms, peak
-// RSS) varies.  Regression-tested in tests/test_parallel_runner.cpp.
-[[nodiscard]] std::vector<SweepCellOutcome<MultiStreamResult>>
-run_multistream_cells(const std::vector<MultiStreamCell>& cells, int jobs);
+// are bit-identical for every job count (tests/test_parallel_runner.cpp).
+[[nodiscard]] std::vector<MultiStreamResult> run_multistream_cells(
+    const std::vector<MultiStreamCell>& cells, int jobs);
 
 // Serialize every simulation-deterministic field of a result (counters,
 // cost, makespan, sampler statistics and quantiles, per-stream and per-pool
 // telemetry) to a canonical JSON string with full double precision.  Two
 // runs are byte-equal here iff the simulations behaved identically — the
-// comparison key for the serial-vs-parallel determinism guarantee.  Wall
-// time and RSS are deliberately excluded.
+// comparison key for the serial-vs-parallel determinism guarantee.
 [[nodiscard]] std::string deterministic_json(const MultiStreamResult& result);
 
 // The 1-vs-K-shards comparison: the same cameras and mixed SLO classes run
@@ -302,7 +296,9 @@ run_multistream_cells(const std::vector<MultiStreamCell>& cells, int jobs);
 // (the paper's layout, head-of-line blocking included), once with one shard
 // per SLO class behind the admission router, and (when the config wires
 // capacity pools via pool_for_shard) once more with per-class shards
-// dispatching into reserved-concurrency pools.
+// dispatching into reserved-concurrency pools.  No leg rebalances: each
+// runs with config.rebalance stripped, so the legs differ in layout and
+// capacity alone.
 struct ShardedRunResult {
   MultiStreamResult single;   // ShardPolicy::single()
   MultiStreamResult sharded;  // ShardPolicy::per_slo_class()
@@ -310,12 +306,6 @@ struct ShardedRunResult {
   // has_reserved is true (the config wired pools).
   MultiStreamResult sharded_reserved;
   bool has_reserved = false;
-  // per_slo_class() + config.rebalance (capacity plan and autoscale stripped
-  // like the sharded leg, so sharded-vs-rebalanced isolates the adaptive
-  // layer); only meaningful when has_rebalanced is true (the config's
-  // RebalancePolicy was active).
-  MultiStreamResult rebalanced;
-  bool has_rebalanced = false;
 };
 
 // The legs share one offline profiling campaign (built once, shared by

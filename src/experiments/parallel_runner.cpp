@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <fstream>
 #include <string>
@@ -23,14 +22,6 @@ long peak_rss_kb() {
     }
   }
   return -1;
-}
-
-double wall_clock_ms() {
-  // The lint allowlist covers this definition alone (see the header): keep
-  // every real-clock read funneled through here.
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 int ParallelSweepRunner::resolve_jobs(int jobs) {

@@ -12,48 +12,24 @@
 // tests/test_parallel_runner.cpp, and the CI ThreadSanitizer job runs the
 // same grid under -fsanitize=thread).
 //
-// What is deliberately NOT deterministic: wall-clock and peak-RSS numbers.
-// Each cell's CellTiming carries its wall time and a /proc/self/status VmHWM
-// probe sampled when the cell finishes — the scaling-trajectory axes of
-// bench_multistream_scale --json — and those vary run to run.  Consumers
-// that need byte-stable output (tests, artifact diffs) must serialize only
-// the simulation results; see experiments::deterministic_json().
+// The runner reads no clock and returns only what the cells return, so a
+// grid's output depends on its cells alone.  Wall-clock throughput, peak RSS
+// and allocations per patch are measured by benchmark/'s tangram_bench,
+// under the bounds in BENCHMARK.json.
 
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace tangram::experiments {
 
 // Peak resident-set high-water mark of this process in kB (VmHWM from
 // /proc/self/status); -1 when the probe is unavailable (non-Linux).
-// Monotone over the process lifetime, so sampling it after a cell finishes
-// bounds the footprint of everything run so far.
+// Monotone over the process lifetime.
 [[nodiscard]] long peak_rss_kb();
-
-// Monotonic wall-clock milliseconds (std::chrono::steady_clock under the
-// hood).  This is the ONE sanctioned real-clock read in the experiments
-// layer: everything simulation-visible runs on sim::Simulator's virtual
-// clock, and tools/lint/tangram_lint.py's wall-clock rule allowlists exactly
-// this function's definition — new timing code must route through here
-// (difference of two calls), never read a clock inline next to sim state.
-[[nodiscard]] double wall_clock_ms();
-
-// Per-cell wall-clock measurement; see the header comment on determinism.
-struct CellTiming {
-  double wall_ms = 0.0;
-  long peak_rss_kb = -1;
-};
-
-template <typename Result>
-struct SweepCellOutcome {
-  Result result{};
-  CellTiming timing;
-};
 
 class ParallelSweepRunner {
  public:
@@ -72,22 +48,16 @@ class ParallelSweepRunner {
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& body) const;
 
-  // Map fn over [0, count) and collect per-cell results (by cell index, so
-  // output order is deterministic) plus wall/RSS timing.  Result must be
-  // default-constructible and movable.
+  // Map fn over [0, count) and collect the per-cell results by cell index,
+  // so output order is deterministic.  Result must be default-constructible
+  // and movable.
   template <typename Fn>
   [[nodiscard]] auto map(std::size_t count, Fn&& fn) const
-      -> std::vector<SweepCellOutcome<
-          std::decay_t<std::invoke_result_t<Fn&, std::size_t>>>> {
+      -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
     using Result = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
-    std::vector<SweepCellOutcome<Result>> cells(count);
-    run_indexed(count, [&](std::size_t i) {
-      const double start_ms = wall_clock_ms();
-      cells[i].result = fn(i);
-      cells[i].timing.wall_ms = wall_clock_ms() - start_ms;
-      cells[i].timing.peak_rss_kb = peak_rss_kb();
-    });
-    return cells;
+    std::vector<Result> results(count);
+    run_indexed(count, [&](std::size_t i) { results[i] = fn(i); });
+    return results;
   }
 
  private:

@@ -57,15 +57,15 @@ FunctionPlatform::FunctionPlatform(sim::Simulator& simulator,
     throw std::invalid_argument(
         "FunctionPlatform: autoscale interval_s must be > 0");
   if (scale.forecasting()) {
-    // Only kEwma reads alpha; horizon and window serve every forecast kind
-    // (accuracy scoring and the pre-warm idle budget).
+    // Only kEwma reads alpha; window serves every forecast kind (the
+    // pre-warm idle budget).
     if (scale.kind == AutoscalePolicy::Kind::kEwma &&
         (!(scale.alpha > 0.0) || scale.alpha > 1.0))
       throw std::invalid_argument(
           "FunctionPlatform: autoscale alpha must be in (0, 1]");
-    if (scale.horizon < 1 || scale.window < 1)
+    if (scale.window < 1)
       throw std::invalid_argument(
-          "FunctionPlatform: autoscale horizon/window must be >= 1");
+          "FunctionPlatform: autoscale window must be >= 1");
     if (scale.headroom < 0)
       throw std::invalid_argument(
           "FunctionPlatform: autoscale headroom must be >= 0");
@@ -584,8 +584,8 @@ void FunctionPlatform::autoscale_tick() {
   for (Pool& pool : pools_) {
     int next;
     if (forecasting) {
-      // Provision the forecast: the limit becomes the predicted demand
-      // `horizon` ticks out, clamped to the pool's configured band.
+      // Provision the forecast: the limit becomes the predicted demand,
+      // clamped to the pool's configured band.
       const double predicted = observe_and_forecast(pool);
       saw_demand |= pool.demand_history.back() > 0.0;
       // Actuate with the pool's headroom of spare slots above the point

@@ -142,9 +142,6 @@ struct AutoscalePolicy {
 
   // --- forecast-driven kinds only -------------------------------------------
   double alpha = 0.5;  // level smoothing (kEwma), (0, 1]
-  // Ticks ahead the forecast targets.  Both forecasters are flat, so it moves
-  // no limit; it is the offset forecast::accuracy() scores predictions at.
-  std::size_t horizon = 1;
   // Trailing window in ticks (kWindowedMax); also sizes the pre-warm
   // idle-tick budget of every forecast kind.
   std::size_t window = 8;
@@ -173,13 +170,11 @@ struct AutoscalePolicy {
     return p;
   }
   [[nodiscard]] static AutoscalePolicy ewma(double alpha = 0.5,
-                                            std::size_t horizon = 1,
                                             double interval_s = 0.5,
                                             int initial_limit = 1) {
     AutoscalePolicy p;
     p.kind = Kind::kEwma;
     p.alpha = alpha;
-    p.horizon = horizon;
     p.interval_s = interval_s;
     p.initial_limit = initial_limit;
     return p;
@@ -221,8 +216,9 @@ struct PoolTelemetry {
   // Forecast-driven provisioning (forecast kinds only; empty/zero
   // otherwise).  demand_history[t] is the pool's observed demand at
   // evaluation t (serving + backlogged, pre-warming excluded);
-  // forecast_history[t] is the policy's prediction made at t for
-  // `horizon` evaluations later — score them with forecast::accuracy().
+  // forecast_history[t] is the policy's prediction made at t, the same for
+  // every later evaluation (both forecasters are flat) — score them with
+  // forecast::accuracy().
   std::vector<double> demand_history;
   std::vector<double> forecast_history;
   std::uint64_t prewarm_boots = 0;  // instances booted ahead of demand

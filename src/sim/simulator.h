@@ -294,7 +294,7 @@ class Simulator {
   [[nodiscard]] bool idle() const { return pending_events() == 0; }
 
   // Total events fired over the simulator's lifetime (perf telemetry; the
-  // multi-stream sweep reports events per wall-clock second from this).
+  // benchmark's sim.events_per_patch divides it by completed patches).
   [[nodiscard]] std::uint64_t events_executed() const {
     return events_executed_;
   }

@@ -337,7 +337,7 @@ TEST(Autoscale, TerminatesOnPermanentlyStarvedBacklog) {
                                                          /*interval_s=*/0.05,
                                                          /*initial_limit=*/1)},
       {"windowed_max", AutoscalePolicy::windowed_max(8, 0.05, 1)},
-      {"ewma", AutoscalePolicy::ewma(0.5, 1, 0.05, 1)},
+      {"ewma", AutoscalePolicy::ewma(0.5, 0.05, 1)},
   };
   for (const auto& [name, policy] : policies) {
     sim::Simulator sim;
@@ -409,11 +409,11 @@ TEST(Autoscale, ValidatesOnlyTheFieldsItsKindReads) {
     config.autoscale.alpha = alpha;
     EXPECT_NO_THROW({ FunctionPlatform platform(sim, config); }) << alpha;
   }
-  // Accuracy scoring reads the horizon of every forecast kind.
+  // The pre-warm idle budget reads the window of every forecast kind.
   for (const AutoscalePolicy& policy :
        {AutoscalePolicy::ewma(), AutoscalePolicy::windowed_max()}) {
     config.autoscale = policy;
-    config.autoscale.horizon = 0;
+    config.autoscale.window = 0;
     EXPECT_THROW({ FunctionPlatform platform(sim, config); },
                  std::invalid_argument);
   }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,36 @@ TEST_F(HarnessTest, RejectsEmptyCameraList) {
   EXPECT_THROW((void)run_end_to_end({}, StrategyKind::kTangram,
                                     quick_config()),
                std::invalid_argument);
+}
+
+TEST_F(HarnessTest, RunnersRejectNonPositiveOrNonFiniteSloClass) {
+  // Unchecked, such a class makes every patch miss (<= 0) or none miss
+  // (+inf); NaN makes none miss or stops the run midway.  Camera 1 of two
+  // takes it from its per_stream_slo entry or, past the vector, from slo_s.
+  const std::vector<const SceneTrace*> cameras(2, trace_);
+  for (const double slo : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const bool via_slo_s : {false, true}) {
+      EndToEndConfig end_to_end = quick_config();
+      MultiStreamConfig multistream;
+      for (FleetConfig* config : std::vector<FleetConfig*>{&end_to_end,
+                                                           &multistream}) {
+        config->per_stream_slo = {1.0};
+        if (via_slo_s) {
+          config->slo_s = slo;
+        } else {
+          config->per_stream_slo.push_back(slo);
+        }
+      }
+      for (const auto kind : {StrategyKind::kTangram, StrategyKind::kElf})
+        EXPECT_THROW((void)run_end_to_end(cameras, kind, end_to_end),
+                     std::invalid_argument)
+            << to_string(kind) << " slo=" << slo << " via_slo_s=" << via_slo_s;
+      EXPECT_THROW((void)run_multistream(cameras, multistream),
+                   std::invalid_argument)
+          << "slo=" << slo << " via_slo_s=" << via_slo_s;
+    }
+  }
 }
 
 TEST_F(HarnessTest, PerFrameCostOrderingMatchesFig8) {

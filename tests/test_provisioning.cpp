@@ -87,7 +87,7 @@ TEST(ProvisioningStepLoad, PrewarmingForecastersAreByteIdenticalAcrossJobs) {
   GoldenFleet g;
   const serverless::AutoscalePolicy forecasters[] = {
       serverless::AutoscalePolicy::windowed_max(12, 0.5),
-      serverless::AutoscalePolicy::ewma(0.5, 1, 0.5),
+      serverless::AutoscalePolicy::ewma(0.5, 0.5),
   };
   std::vector<MultiStreamCell> cells;
   for (const auto& policy : forecasters) {
@@ -106,13 +106,13 @@ TEST(ProvisioningStepLoad, PrewarmingForecastersAreByteIdenticalAcrossJobs) {
   ASSERT_EQ(serial.size(), cells.size());
   ASSERT_EQ(parallel.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::string json = deterministic_json(serial[i].result);
+    const std::string json = deterministic_json(serial[i]);
     EXPECT_NE(json.find("\"forecast\""), std::string::npos) << i;
-    EXPECT_GT(serial[i].result.prewarm_boots, 0u) << i;
-    EXPECT_EQ(deterministic_json(parallel[i].result), json) << i;
+    EXPECT_GT(serial[i].prewarm_boots, 0u) << i;
+    EXPECT_EQ(deterministic_json(parallel[i]), json) << i;
   }
-  EXPECT_EQ(deterministic_json(serial.back().result),
-            deterministic_json(serial.front().result));
+  EXPECT_EQ(deterministic_json(serial.back()),
+            deterministic_json(serial.front()));
 }
 
 // --- suite 2: billing + aggregation audits -----------------------------------

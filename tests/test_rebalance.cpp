@@ -354,7 +354,6 @@ TEST_F(RebalanceRegression, NonePolicyByteIdenticalToPreRefactorGoldens) {
     EXPECT_EQ(fnv1a(deterministic_json(legs.sharded_reserved)),
               kGoldenReserved)
         << "jobs=" << jobs;
-    EXPECT_FALSE(legs.has_rebalanced);  // none(): no fourth leg
   }
   // The direct fleet run equals the reserved leg (same config end-to-end).
   const auto direct = run_multistream(fleet, config);
@@ -402,7 +401,7 @@ TEST_F(RebalanceRegression, ActivePolicyExtendsJsonWithRebalanceBlock) {
   EXPECT_NE(json.find("\"patch_classes\""), std::string::npos);
 }
 
-TEST_F(RebalanceRegression, RunShardedEmitsRebalancedLegWhenActive) {
+TEST_F(RebalanceRegression, RunShardedLegsStripAnActiveRebalancePolicy) {
   std::vector<const SceneTrace*> fleet(8, trace_);
   MultiStreamConfig config;
   config.drift_at_s = 1.0;
@@ -413,14 +412,14 @@ TEST_F(RebalanceRegression, RunShardedEmitsRebalancedLegWhenActive) {
   config.rebalance = core::RebalancePolicy::class_mix_drift(/*min_run=*/2,
                                                             /*interval_s=*/0.1);
   const auto legs = run_sharded(fleet, config);
-  ASSERT_TRUE(legs.has_rebalanced);
-  EXPECT_TRUE(legs.rebalanced.rebalance.enabled);
   // The comparison legs stay rebalance-free (they isolate layout/capacity).
   EXPECT_FALSE(legs.single.rebalance.enabled);
   EXPECT_FALSE(legs.sharded.rebalance.enabled);
-  // Same workload end-to-end on every leg.
-  EXPECT_EQ(legs.rebalanced.patches_sent, legs.sharded.patches_sent);
-  EXPECT_EQ(legs.rebalanced.patches_completed, legs.sharded.patches_completed);
+  EXPECT_EQ(legs.single.rebalance.migrations, 0u);
+  EXPECT_EQ(legs.sharded.rebalance.migrations, 0u);
+  // Same workload end-to-end on both legs.
+  EXPECT_EQ(legs.single.patches_sent, legs.sharded.patches_sent);
+  EXPECT_EQ(legs.single.patches_completed, legs.sharded.patches_completed);
 }
 
 }  // namespace

@@ -16,8 +16,8 @@ hygiene violations that ordinary compilers and clang-tidy do not model:
     wall-clock            system_clock / steady_clock / high_resolution_clock
                           / gettimeofday / clock_gettime / time() reads.
                           Simulation-visible time comes from sim::Simulator;
-                          the one sanctioned real-clock read is
-                          experiments::wall_clock_ms() (allowlisted).
+                          src/ and tests/ read no real clock at all (wall
+                          timing is benchmark/'s job).
     pointer-ordering      Relational comparison of pointer values (`.get() <`,
                           std::less<T*>, `&a < &b`).  Heap addresses vary run
                           to run, so any pointer-ordered container or sort is
@@ -105,8 +105,8 @@ _TOKEN_RULES = {
             r"|\b(?:gettimeofday|clock_gettime|timespec_get)\s*\("
             r"|(?<![\w.])time\s*\("
         ),
-        "wall-clock read; simulation time comes from sim::Simulator, real "
-        "timing must route through experiments::wall_clock_ms()",
+        "wall-clock read; simulation time comes from sim::Simulator, and "
+        "wall timing belongs in benchmark/, not src/ or tests/",
     ),
     "pointer-ordering": (
         re.compile(

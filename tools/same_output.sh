@@ -5,13 +5,11 @@
 #
 # Builds <rev> from `git archive` under build/same-output/<sha> and the
 # working tree in build/, then runs every bench and example on both trees
-# except bench_micro (wall-clock timings) and bench_multistream_scale, and
+# except bench_micro (wall-clock timings), with default arguments, and
 # compares each program's stdout byte for byte.  example_stitch_gallery
-# writes into a temporary directory whose path is replaced by <out>.
-# bench_multistream_scale runs as `--jobs 1 --max-streams 4096 --json`, and
-# its JSON is compared without the wall-clock fields (wall_ms,
-# events_per_sec, patches_per_wall_sec, peak_rss_kb) and without
-# dispatch_path's allocation counts.
+# writes into a temporary directory; bench_multistream_scale also gets
+# `--json` into its side's output directory, and that JSON is compared
+# byte for byte too.  Both output paths are replaced by <out> in stdout.
 #
 # Prints one line per program and exits 1 on any difference; a usage or
 # build error exits 2, an unknown <rev> with git's status.  The outputs stay
@@ -30,7 +28,7 @@ jobs=$(nproc)
 
 programs=$(ls bench/*.cpp examples/*.cpp |
              sed -e 's|^bench/||' -e 's|^examples/|example_|' -e 's|\.cpp$||' |
-             grep -v -x -e bench_micro -e bench_multistream_scale)
+             grep -v -x -e bench_micro)
 
 # --- build both trees ---------------------------------------------------------
 if [ ! -f "$base/src/CMakeLists.txt" ]; then
@@ -45,7 +43,7 @@ fi
 for tree in "$base/build" build; do
   # shellcheck disable=SC2086  # one target per word
   if ! cmake --build "$tree" -j "$jobs" \
-         --target $programs bench_multistream_scale > "$tree/same-output.log" 2>&1
+         --target $programs > "$tree/same-output.log" 2>&1
   then
     tail -n 30 "$tree/same-output.log"
     echo "build failed in $tree" >&2
@@ -63,19 +61,28 @@ run() {  # run <binary dir> <side> <program>
   if [ "$prog" = example_stitch_gallery ]; then
     dir=$(mktemp -d)
     args=("$dir")
+  elif [ "$prog" = bench_multistream_scale ]; then
+    dir="$OUT/$side"
+    args=(--json "$dir/$prog.json")
   fi
   "$bin/$prog" "${args[@]}" > "$OUT/$side/$prog.txt" 2> /dev/null || status=$?
   echo "$status" > "$OUT/$side/$prog.status"
   if [ -n "$dir" ]; then
     sed -i "s|$dir|<out>|g" "$OUT/$side/$prog.txt"
-    rm -rf "$dir"
   fi
+  [ "$prog" != example_stitch_gallery ] || rm -rf "$dir"
 }
 export -f run
 export OUT="$out"
 for prog in $programs; do
   printf '%s rev %s\n%s tree %s\n' "$base/build" "$prog" build "$prog"
 done | xargs -P "$jobs" -n 3 bash -c 'run "$@"' _
+
+same() {  # same <program>: its stdout, and its JSON if either side wrote one
+  cmp -s "$out/rev/$1.txt" "$out/tree/$1.txt" || return 1
+  [ -e "$out/rev/$1.json" ] || [ -e "$out/tree/$1.json" ] || return 0
+  cmp -s "$out/rev/$1.json" "$out/tree/$1.json"
+}
 
 differ=0
 for prog in $programs; do
@@ -84,7 +91,7 @@ for prog in $programs; do
   if [ "$rev_status" != 0 ] || [ "$tree_status" != 0 ]; then
     echo "FAIL  $prog (exit $rev_status at $1, $tree_status in the tree)"
     differ=1
-  elif cmp -s "$out/rev/$prog.txt" "$out/tree/$prog.txt"; then
+  elif same "$prog"; then
     echo "same  $prog"
   else
     echo "DIFF  $prog"
@@ -92,61 +99,5 @@ for prog in $programs; do
   fi
 done
 
-# --- bench_multistream_scale: simulation fields only -------------------------
-strip_timing() {  # strip_timing <json in> <json out>
-  python3 - "$1" "$2" <<'EOF'
-import json
-import sys
-
-TIMING = {"wall_ms", "events_per_sec", "patches_per_wall_sec", "peak_rss_kb"}
-
-
-def strip(node):
-    if isinstance(node, dict):
-        return {k: strip(v) for k, v in node.items() if k not in TIMING}
-    if isinstance(node, list):
-        return [strip(v) for v in node]
-    return node
-
-
-doc = strip(json.load(open(sys.argv[1])))
-for key in ("allocs", "allocs_per_patch"):
-    doc.get("dispatch_path", {}).pop(key, None)
-with open(sys.argv[2], "w") as f:
-    json.dump(doc, f, indent=1, sort_keys=True)
-    f.write("\n")
-EOF
-}
-scale_ok=1
-for side in rev tree; do
-  bin=build
-  [ "$side" = rev ] && bin="$base/build"
-  if "$bin/bench_multistream_scale" --jobs 1 --max-streams 4096 \
-       --json "$out/$side/scale.json" > /dev/null 2>&1; then
-    strip_timing "$out/$side/scale.json" "$out/$side/scale.sim.json"
-  else
-    scale_ok=0
-  fi
-done
-if [ "$scale_ok" = 0 ]; then
-  echo "FAIL  bench_multistream_scale --json"
-  differ=1
-elif cmp -s "$out/rev/scale.sim.json" "$out/tree/scale.sim.json"; then
-  echo "same  bench_multistream_scale --json (simulation fields)"
-else
-  echo "DIFF  bench_multistream_scale --json (simulation fields)"
-  differ=1
-fi
-
-if [ "$scale_ok" = 1 ]; then
-  python3 - "$out/rev/scale.json" "$out/tree/scale.json" <<'EOF'
-import json
-import sys
-
-rev, tree = (json.load(open(p))["dispatch_path"]["allocs_per_patch"]
-             for p in sys.argv[1:])
-print(f"note  dispatch_path allocs_per_patch: {rev} at rev, {tree} in the tree")
-EOF
-fi
 [ "$differ" = 0 ] || echo "outputs differ; see $out/{rev,tree}"
 exit "$differ"
