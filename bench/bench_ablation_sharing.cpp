@@ -57,8 +57,8 @@ int main() {
       const auto r = experiments::run_end_to_end(
           {cam}, experiments::StrategyKind::kTangram, solo);
       cost += r.total_cost;
-      violations += r.violations;
-      completed += r.completed_items;
+      violations += r.slo_violations;
+      completed += r.patches_completed;
       invocations += r.invocations;
       for (const double v : r.batch_patches.values()) batch_patches.add(v);
     }

@@ -56,7 +56,7 @@ int main() {
         const auto result =
             experiments::run_end_to_end(cameras, kind, config);
         table.add_row(
-            {common::Table::num(slo, 1), result.strategy,
+            {common::Table::num(slo, 1), experiments::to_string(kind),
              common::Table::num(result.total_cost, 4),
              common::Table::num(result.total_cost / result.eval_frames, 5),
              common::Table::num(result.violation_rate() * 100.0, 2),

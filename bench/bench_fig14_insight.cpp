@@ -30,7 +30,7 @@ int main() {
                          "patches/batch p50", "p90", "amortized s/patch",
                          "tx total (s)", "exec total (s)"});
 
-  experiments::RunResult run80;
+  experiments::MultiStreamResult run80;
   for (const double bw : {20.0, 40.0, 80.0}) {
     experiments::EndToEndConfig config;
     config.bandwidth_mbps = bw;
@@ -39,7 +39,7 @@ int main() {
         cameras, experiments::StrategyKind::kTangram, config);
 
     const double amortized =
-        result.execution_busy_s / static_cast<double>(result.completed_items);
+        result.execution_busy_s / static_cast<double>(result.patches_completed);
     summary.add_row({common::Table::num(bw, 0) + " Mbps",
                      common::Table::num(result.exec_latency.quantile(0.1), 3),
                      common::Table::num(result.exec_latency.quantile(0.5), 3),

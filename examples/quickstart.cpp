@@ -38,7 +38,7 @@ int main() {
   // 4. Report.
   std::cout << "\n--- quickstart results (60 s of 4K video, 40 Mbps, SLO 1 s) "
                "---\n";
-  std::cout << "patches processed:    " << result.completed_items << "\n";
+  std::cout << "patches processed:    " << result.patches_completed << "\n";
   std::cout << "function invocations: " << result.invocations << "\n";
   std::cout << "batches of canvases:  " << result.batch_canvases.count()
             << " (mean " << result.batch_canvases.mean() << " canvases, "

@@ -33,7 +33,8 @@ int main() {
                           experiments::StrategyKind::kElf}) {
     const auto r = experiments::run_end_to_end(cameras, kind, config);
     const double hours = r.makespan_s / 3600.0;
-    table.add_row({r.strategy, common::Table::num(r.total_cost, 4),
+    table.add_row({experiments::to_string(kind),
+                   common::Table::num(r.total_cost, 4),
                    common::Table::num(r.total_cost / hours, 3),
                    common::Table::num(r.violation_rate() * 100.0, 2),
                    std::to_string(r.invocations),

@@ -57,7 +57,7 @@ int main() {
 
     table.add_row(
         {names[i],
-         common::Table::num(r.completed_items / r.makespan_s, 1),
+         common::Table::num(r.patches_completed / r.makespan_s, 1),
          common::Table::num(r.total_cost, 4),
          common::Table::num(r.violation_rate() * 100.0, 2),
          std::to_string(r.fleet_size),

@@ -17,7 +17,6 @@ void InvokerStats::merge(const InvokerStats& other) {
     batch_patch_count.add(v);
   batches_invoked += other.batches_invoked;
   forced_flushes += other.forced_flushes;
-  saturated_dispatches += other.saturated_dispatches;
   incremental_adds += other.incremental_adds;
   full_repacks += other.full_repacks;
   migrations += other.migrations;
@@ -224,8 +223,6 @@ TANGRAM_HOT_PATH void SloAwareInvoker::invoke_current() {
   stats_.batch_patch_count.add(static_cast<double>(batch.total_patches));
   for (const auto& c : batch.canvases) stats_.canvas_efficiency.add(c.fill);
   ++stats_.batches_invoked;
-  if (config_.pool_headroom && config_.pool_headroom() <= 0)
-    ++stats_.saturated_dispatches;
 
   queue_.clear();
   placements_.clear();

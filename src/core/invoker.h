@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -48,26 +47,11 @@ struct InvokerConfig {
   // Maximum canvases per batch admitted by the function's GPU memory
   // (constraint (5)); obtain from FunctionPlatform::max_canvases_per_batch.
   int max_canvases = 9;
-  // Capacity pool this invoker's batches are invoked against (stamped by the
-  // pool/system wiring; empty = the platform's default pool).  Carried here
-  // so per-shard telemetry self-describes its concurrency domain.
-  std::string pool_key;
-  // Dense platform index of pool_key (serverless::FunctionPlatform::PoolId),
-  // interned once at wiring time so no dispatch-path component ever resolves
-  // the pool by string comparison; -1 = not wired to a specific pool (the
-  // platform's default pool).
-  int pool_id = -1;
   // Recycled storage for dispatched batches (see BatchPool).  Shards of one
   // system share a single pool so canvas capacity recirculates through the
   // whole dispatch loop; null = the invoker creates a private pool, which
   // keeps standalone invokers allocation-recycling without extra wiring.
   std::shared_ptr<BatchPool> batch_pool;
-  // Pool-aware capacity query (optional): additional concurrent invocations
-  // the shard's capacity pool can start right now.  When set, the invoker
-  // counts batches dispatched into a saturated pool
-  // (InvokerStats::saturated_dispatches) — a direct signal that the pool's
-  // limits, not the packing policy, are the shard's SLO bottleneck.
-  std::function<int()> pool_headroom;
   // Reservoir capacity for the shard's telemetry Samplers (canvas
   // efficiency, batch sizes); 0 = retain every sample.  Bounded mode keeps
   // per-shard telemetry O(1) in batch count for city-scale sweeps.
@@ -90,10 +74,6 @@ struct InvokerStats {
   common::Sampler batch_patch_count;   // patches per invoked batch
   std::size_t batches_invoked = 0;
   std::size_t forced_flushes = 0;
-  // Batches dispatched while the shard's capacity pool had zero headroom
-  // (they queue on the platform instead of starting; only counted when
-  // InvokerConfig::pool_headroom is wired).
-  std::size_t saturated_dispatches = 0;
   // Packing-engine counters: arrivals absorbed by the incremental fast path
   // vs. from-scratch solver runs (the repack after a stream is detached
   // mid-queue by migration).
@@ -214,40 +194,6 @@ class SloAwareInvoker {
 
   // --- telemetry (drives Figs. 10b, 13, 14) ---------------------------------
   [[nodiscard]] const InvokerStats& stats() const { return stats_; }
-  [[nodiscard]] const common::Sampler& canvas_efficiency() const {
-    return stats_.canvas_efficiency;
-  }
-  [[nodiscard]] const common::Sampler& batch_canvas_count() const {
-    return stats_.batch_canvas_count;
-  }
-  [[nodiscard]] const common::Sampler& batch_patch_count() const {
-    return stats_.batch_patch_count;
-  }
-  [[nodiscard]] std::size_t batches_invoked() const {
-    return stats_.batches_invoked;
-  }
-  [[nodiscard]] std::size_t forced_flushes() const {
-    return stats_.forced_flushes;
-  }
-  [[nodiscard]] const std::string& pool_key() const {
-    return config_.pool_key;
-  }
-  // Interned platform index of pool_key; -1 when not wired to a named pool.
-  [[nodiscard]] int pool_id() const { return config_.pool_id; }
-  // The recycled-batch arena dispatched batches come from (and must be
-  // recycled into); shared across shards when the config wired one.
-  [[nodiscard]] const std::shared_ptr<BatchPool>& batch_pool() const {
-    return batch_pool_;
-  }
-  [[nodiscard]] std::size_t saturated_dispatches() const {
-    return stats_.saturated_dispatches;
-  }
-  [[nodiscard]] std::size_t incremental_adds() const {
-    return stats_.incremental_adds;
-  }
-  [[nodiscard]] std::size_t full_repacks() const {
-    return stats_.full_repacks;
-  }
 
  private:
   void admit_incremental(Patch patch);  // session fast path

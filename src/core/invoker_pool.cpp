@@ -68,13 +68,11 @@ int InvokerPool::shard_for_key(const std::string& key,
   for (std::size_t i = 0; i < keys_.size(); ++i)
     if (keys_[i] == key) return static_cast<int>(i);
   const int index = static_cast<int>(shards_.size());
-  InvokerConfig shard_config = config_;
-  // Capacity wiring point: the setup hook stamps pool_key / pool_headroom
-  // into this shard's config (after defining the pool on the platform).
-  if (shard_setup_) shard_setup_(index, key, first_stream, shard_config);
+  // Capacity wiring point: the owner maps the new shard to its pool.
+  if (shard_setup_) shard_setup_(index, key, first_stream);
   keys_.push_back(key);
   shards_.push_back(std::make_unique<SloAwareInvoker>(
-      sim_, heuristic_, estimator_, std::move(shard_config),
+      sim_, heuristic_, estimator_, config_,
       [this, index](Batch&& batch) { invoke_(index, std::move(batch)); }));
   shard_streams_.push_back(0);
   occupancy_.emplace_back();
@@ -172,7 +170,6 @@ void InvokerPool::migrate_stream(StreamId stream, int to) {
   stream_shard_[idx] = to;
   --shard_streams_[static_cast<std::size_t>(from)];
   ++shard_streams_[static_cast<std::size_t>(to)];
-  ++migrations_;
   for (const Patch& patch : pending)
     shards_[static_cast<std::size_t>(to)]->attach_patch(patch);
   if (on_migrate_) on_migrate_(stream, from, to);

@@ -141,12 +141,11 @@ class InvokerPool {
   using ShardInvokeFn = std::function<void(int shard, Batch&&)>;
   // Called once per shard, just before the shard is constructed, with the
   // shard's index, policy key, and the StreamConfig whose registration
-  // created it (a default StreamConfig for kSingle's eager shard).  Mutate
-  // `config` to wire per-shard capacity: stamp InvokerConfig::pool_key /
-  // pool_headroom after defining a CapacityPool on the platform.
+  // created it (a default StreamConfig for kSingle's eager shard): the point
+  // where the owner wires the shard to a capacity pool (TangramSystem maps
+  // the index to the pool its batches dispatch into).
   using ShardSetupFn = std::function<void(
-      int shard, const std::string& key, const StreamConfig& first_stream,
-      InvokerConfig& config)>;
+      int shard, const std::string& key, const StreamConfig& first_stream)>;
   // Notification that the rebalancer moved a registered stream between
   // shards, so the owner (TangramSystem) can restamp its per-stream routing
   // telemetry.  Runs after the stream's pending patches were re-admitted.
@@ -189,20 +188,12 @@ class InvokerPool {
   [[nodiscard]] const SloAwareInvoker& shard(std::size_t index) const {
     return *shards_.at(index);
   }
-  [[nodiscard]] const std::string& shard_key(std::size_t index) const {
-    return keys_.at(index);
-  }
-  [[nodiscard]] const ShardPolicy& policy() const { return policy_; }
-  [[nodiscard]] const RebalancePolicy& rebalance_policy() const {
-    return rebalance_;
-  }
   [[nodiscard]] std::size_t pending_patches() const;
 
   // --- rebalancing telemetry -------------------------------------------------
   [[nodiscard]] std::uint64_t rebalance_ticks() const {
     return rebalance_ticks_;
   }
-  [[nodiscard]] std::size_t migrations() const { return migrations_; }
   // Per-shard occupancy time series (index-parallel to shards; one sample
   // per rebalance tick).  Empty unless a policy was active.
   [[nodiscard]] const std::vector<std::vector<ShardOccupancySample>>&
@@ -212,8 +203,8 @@ class InvokerPool {
 
   // Telemetry merged across every shard (the single-invoker view the
   // harness and benches report).  Sums EVERY per-shard counter, including
-  // the adaptivity counters (migrations / steals / steal_bytes) and
-  // saturated_dispatches — never a shard-0-only view.
+  // the adaptivity counters (migrations / steals / steal_bytes) — never a
+  // shard-0-only view.
   [[nodiscard]] InvokerStats aggregate_stats() const;
 
  private:
@@ -258,7 +249,6 @@ class InvokerPool {
 
   sim::EventHandle rebalance_timer_;
   std::uint64_t rebalance_ticks_ = 0;
-  std::size_t migrations_ = 0;
 };
 
 }  // namespace tangram::core

@@ -1,6 +1,7 @@
 #include "core/system.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -98,37 +99,29 @@ TangramSystem::TangramSystem(sim::Simulator& simulator, Config config,
       simulator, config_.heuristic, *estimator_, inv, config_.sharding,
       [this](int shard, Batch&& batch) { dispatch(shard, std::move(batch)); },
       // Capacity wiring: when a shard is created, carve its pool out of the
-      // platform fleet and stamp the shard config so batch dispatch (and the
-      // shard's saturation telemetry) run against that pool.
-      [this](int shard, const std::string& key, const StreamConfig& stream,
-             InvokerConfig& shard_config) {
-        if (static_cast<std::size_t>(shard) >= shard_pools_.size())
-          shard_pools_.resize(static_cast<std::size_t>(shard) + 1, 0);
+      // platform fleet and record the pool's index, so batch dispatch never
+      // resolves a pool by name.
+      [this](int shard, const std::string& key, const StreamConfig& stream) {
+        shard_pools_.resize(static_cast<std::size_t>(shard) + 1, 0);
         if (!config_.pool_for_shard) return;
         const serverless::CapacityPoolConfig pool =
             config_.pool_for_shard(key, stream);
-        if (pool.name.empty()) return;
-        const int pool_idx = platform_->define_pool(pool);
-        shard_pools_[static_cast<std::size_t>(shard)] = pool_idx;
-        shard_config.pool_key = pool.name;
-        // Interned once here: no dispatch-path component resolves the pool
-        // by string key again.
-        shard_config.pool_id = pool_idx;
-        shard_config.pool_headroom = [platform = platform_.get(), pool_idx] {
-          return platform->pool_headroom(pool_idx);
-        };
+        if (!pool.name.empty())
+          shard_pools_.back() = platform_->define_pool(pool);
       },
       config_.rebalance,
       // The router moved a stream: restamp its telemetry's shard so
       // per-stream reporting always names the shard now batching it.
       [this](StreamId stream, int /*from*/, int to) {
-        auto& stats = streams_[static_cast<std::size_t>(stream)];
-        stats.shard = to;
-        ++stats.migrations;
+        streams_[static_cast<std::size_t>(stream)].shard = to;
       });
 }
 
 StreamId TangramSystem::register_stream(StreamConfig config) {
+  if (!std::isfinite(config.slo_s))
+    throw std::invalid_argument(
+        "TangramSystem: stream SLO class " + std::to_string(config.slo_s) +
+        " is not finite (<= 0 means per-patch SLOs)");
   const auto id = static_cast<StreamId>(streams_.size());
   StreamStats stats;
   // Per-stream telemetry honours the configured reservoir bound (0 keeps
@@ -161,11 +154,23 @@ void TangramSystem::deregister_stream(StreamId stream) {
 void TangramSystem::receive_patch(StreamId stream, Patch patch) {
   if (stream < 0 || static_cast<std::size_t>(stream) >= streams_.size())
     throw std::out_of_range("TangramSystem: unknown stream id");
-  if (!streams_[static_cast<std::size_t>(stream)].active)
+  const StreamStats& stats = streams_[static_cast<std::size_t>(stream)];
+  if (!stats.active)
     throw std::invalid_argument("TangramSystem: stream was deregistered");
+  // Outside input is checked before any counter, route or queue moves.
+  if (patch.region.empty())
+    throw std::invalid_argument("TangramSystem: patch region has zero area");
+  if (!std::isfinite(patch.generation_time))
+    throw std::invalid_argument(
+        "TangramSystem: patch generation_time is not finite");
+  if (stats.slo_s > 0.0) {
+    patch.slo = stats.slo_s;
+  } else if (!(patch.slo > 0.0) || !std::isfinite(patch.slo)) {
+    throw std::invalid_argument(
+        "TangramSystem: per-patch SLO " + std::to_string(patch.slo) +
+        " s is not positive and finite");
+  }
   patch.stream_id = stream;
-  const double slo = streams_[static_cast<std::size_t>(stream)].slo_s;
-  if (slo > 0.0) patch.slo = slo;
 
   // Fitting patches (the common case) move straight through; only oversized
   // ones pay the split + byte-apportion detour.

@@ -51,9 +51,8 @@ struct StreamStats {
   std::string name;
   double slo_s = 0.0;                 // 0 = per-patch SLOs
   int shard = 0;                      // CURRENT invoker-pool shard (the
-                                      // rebalancer may move it; see below)
+                                      // rebalancer may move it)
   bool active = true;                 // false after deregister_stream()
-  std::size_t migrations = 0;         // times the rebalancer re-routed it
   std::size_t patches_received = 0;   // after oversized-patch tiling
   std::size_t patches_completed = 0;
   std::size_t slo_violations = 0;
@@ -129,6 +128,8 @@ class TangramSystem {
   // --- multi-stream API ------------------------------------------------------
   // Register a stream; patches are then submitted against its id.  All
   // streams share the invoker and platform, so their patches batch together.
+  // Throws std::invalid_argument for a NaN or infinite slo_s (<= 0 means
+  // per-patch SLOs).
   StreamId register_stream(StreamConfig config = {});
 
   // Unregister a live stream (camera churn): its pending — not yet invoked —
@@ -142,8 +143,11 @@ class TangramSystem {
 
   // Paper API 1, stream-addressed: the scheduler receives a patch from one
   // of the registered streams.  Oversized patches are tiled to the canvas
-  // automatically.  Throws std::out_of_range on an unknown stream id and
-  // std::invalid_argument on a deregistered one.
+  // automatically.  Throws std::out_of_range on an unknown stream id, and
+  // std::invalid_argument on a deregistered one, a zero-area region, a
+  // generation_time that is not finite or, on a per-patch-SLO stream, a
+  // patch SLO that is not positive and finite; a rejected patch moves no
+  // counter or queue.
   void receive_patch(StreamId stream, Patch patch);
 
   // Dispatch whatever is still queued (shutdown / end of stream).
@@ -151,7 +155,6 @@ class TangramSystem {
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] std::size_t stream_count() const { return streams_.size(); }
   [[nodiscard]] const StreamStats& stream_stats(StreamId stream) const {
     return streams_.at(static_cast<std::size_t>(stream));
   }
@@ -166,15 +169,6 @@ class TangramSystem {
     return *estimator_;
   }
   [[nodiscard]] double total_cost() const { return platform_->total_cost(); }
-  // Predictive-provisioning telemetry, summed across every capacity pool
-  // (Config::platform.autoscale selects the forecast policy; see
-  // serverless/forecast.h).  total_cost() already includes prewarm_cost().
-  [[nodiscard]] std::uint64_t prewarm_boots() const {
-    return platform_->prewarm_boots();
-  }
-  [[nodiscard]] double prewarm_cost() const {
-    return platform_->prewarm_cost();
-  }
 
  private:
   void submit(StreamId stream, Patch patch);

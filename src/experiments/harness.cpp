@@ -1,8 +1,9 @@
 #include "experiments/harness.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -32,6 +33,16 @@ double base_slo(const FleetConfig& config, std::size_t cam) {
                                             : config.slo_s;
 }
 
+// Throws std::invalid_argument, naming the camera, unless `ok`.
+void require(bool ok, const char* runner, std::size_t cam, const char* what,
+             double value, const char* rule) {
+  if (!ok)
+    throw std::invalid_argument(std::string(runner) + ": camera cam-" +
+                                std::to_string(cam) + " has " + what + " " +
+                                std::to_string(value) + "; it must be " +
+                                rule);
+}
+
 // Throws unless every camera's SLO class is positive and finite.  Otherwise
 // every patch would silently miss (<= 0), none would (+inf), or, for NaN,
 // none would or the run would stop midway.
@@ -39,11 +50,30 @@ void check_slo_classes(const char* runner, const FleetConfig& config,
                        std::size_t cameras) {
   for (std::size_t cam = 0; cam < cameras; ++cam) {
     const double slo = base_slo(config, cam);
-    if (!(slo > 0.0) || !std::isfinite(slo))
-      throw std::invalid_argument(std::string(runner) + ": camera cam-" +
-                                  std::to_string(cam) + " has SLO class " +
-                                  std::to_string(slo) +
-                                  " s; it must be positive and finite");
+    require(slo > 0.0 && std::isfinite(slo), runner, cam, "SLO class", slo,
+            "positive and finite");
+  }
+}
+
+// Throws unless drift_at_s is neither NaN nor +inf (negative = no drift) and
+// each camera's drift class is finite (<= 0 = keep the base class) and its
+// start offset finite and >= 0.  Otherwise the run would silently skip the
+// drift, meet every SLO, or stop midway.
+void check_scenario(const MultiStreamConfig& config, std::size_t cameras) {
+  if (!(config.drift_at_s < std::numeric_limits<double>::infinity()))
+    throw std::invalid_argument(
+        "run_multistream: drift_at_s is " + std::to_string(config.drift_at_s) +
+        "; it must be a finite time, or negative for no drift");
+  for (std::size_t cam = 0; cam < cameras; ++cam) {
+    const double drift =
+        cam < config.drift_to_slo.size() ? config.drift_to_slo[cam] : 0.0;
+    require(std::isfinite(drift), "run_multistream", cam, "drift class",
+            drift, "finite");
+    const double start = cam < config.per_stream_start_s.size()
+                             ? config.per_stream_start_s[cam]
+                             : 0.0;
+    require(start >= 0.0 && std::isfinite(start), "run_multistream", cam,
+            "start offset", start, "finite and >= 0");
   }
 }
 
@@ -116,6 +146,11 @@ class PatchEmitter {
 
   [[nodiscard]] std::size_t patches_sent() const { return next_patch_id_ - 1; }
   [[nodiscard]] std::size_t bytes_sent() const { return bytes_sent_; }
+  [[nodiscard]] std::size_t eval_frames() const {
+    std::size_t frames = 0;
+    for (const SceneTrace* c : cameras_) frames += c->eval_frame_count();
+    return frames;
+  }
   [[nodiscard]] double link_busy_s() const {
     double busy = 0.0;
     for (const auto& link : links_) busy += link->transmission_time().sum();
@@ -175,25 +210,92 @@ class PatchEmitter {
   std::size_t bytes_sent_ = 0;
 };
 
+// The result callback every strategy reports completions through: the fleet
+// e2e sampler in completion order, completions, SLO misses, and the tally
+// keyed by the SLO class each patch carried.
+core::TangramSystem::ResultFn tally_into(MultiStreamResult& result) {
+  return [&result](const core::Patch& patch,
+                   const serverless::InvocationRecord& record) {
+    result.e2e_latency.add(record.finish_time - patch.generation_time);
+    const bool miss = record.finish_time > patch.deadline() + 1e-9;
+    ++result.patches_completed;
+    if (miss) ++result.slo_violations;
+    auto& classes = result.patch_classes;
+    auto it = std::lower_bound(
+        classes.begin(), classes.end(), patch.slo,
+        [](const MultiStreamResult::SloClassTally& tally, double slo) {
+          return tally.slo_s < slo;
+        });
+    if (it == classes.end() || it->slo_s != patch.slo)
+      it = classes.insert(it, {patch.slo, 0, 0});
+    ++it->completed;
+    if (miss) ++it->misses;
+  };
+}
+
+// Everything a result holds beyond the completion tally, copied in one
+// place: the simulator's clock, the emitter's traffic, the platform's
+// accounting, and the scheduler's telemetry when Tangram ran (`system`;
+// null for a baseline).
+void collect(MultiStreamResult& result, const sim::Simulator& sim,
+             const PatchEmitter& emitter,
+             const serverless::FunctionPlatform& platform,
+             const core::TangramSystem* system) {
+  result.makespan_s = sim.now();
+  result.events_executed = sim.events_executed();
+  result.patches_sent = emitter.patches_sent();
+  result.total_bytes = emitter.bytes_sent();
+  result.transmission_busy_s = emitter.link_busy_s();
+  result.eval_frames = emitter.eval_frames();
+  result.total_cost = platform.total_cost();
+  result.invocations = platform.invocations();
+  result.stragglers = platform.stragglers();
+  result.retries = platform.retries();
+  result.exec_latency = platform.execution_latency();
+  result.execution_busy_s = platform.busy_seconds();
+  result.pools = platform.pool_telemetry();
+  result.cold_starts = platform.cold_starts();
+  result.cold_start_setup = platform.cold_start_setup();
+  result.fleet_size = platform.fleet_size();
+  // Predictive-provisioning roll-up: sums over EVERY pool (`pools` keeps
+  // the per-pool series).
+  result.forecast_active = platform.config().autoscale.forecasting();
+  for (const serverless::PoolTelemetry& pool : result.pools)
+    result.autoscale_samples += pool.series.size();
+  result.prewarm_boots = platform.prewarm_boots();
+  result.prewarm_cost = platform.prewarm_cost();
+  if (!system) return;
+
+  result.streams = system->streams();
+  result.shards = system->pool().shard_count();
+  core::InvokerStats stats = system->pool().aggregate_stats();
+  result.batches = stats.batches_invoked;
+  result.batch_canvases = std::move(stats.batch_canvas_count);
+  result.batch_patches = std::move(stats.batch_patch_count);
+  result.canvas_efficiency = std::move(stats.canvas_efficiency);
+  result.rebalance.enabled = system->config().rebalance.active();
+  result.rebalance.ticks = system->pool().rebalance_ticks();
+  result.rebalance.migrations = stats.migrations;
+  result.rebalance.steals = stats.steals;
+  result.rebalance.steal_bytes = stats.steal_bytes;
+  // The pool allocates an (empty) series per shard even when no policy is
+  // active; only surface them when the adaptive layer actually ran.
+  if (result.rebalance.enabled)
+    result.rebalance.shard_occupancy = system->pool().shard_occupancy();
+}
+
 }  // namespace
 
-RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
-                         StrategyKind kind, const EndToEndConfig& config) {
+MultiStreamResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
+                                 StrategyKind kind,
+                                 const EndToEndConfig& config) {
   if (cameras.empty())
     throw std::invalid_argument("run_end_to_end: no cameras");
   check_slo_classes("run_end_to_end", config, cameras.size());
 
   sim::Simulator sim;
-  RunResult result;
-  result.strategy = to_string(kind);
-
-  const auto on_patch_done = [&](const core::Patch& patch,
-                                 const serverless::InvocationRecord& record) {
-    const double latency = record.finish_time - patch.generation_time;
-    result.e2e_latency.add(latency);
-    ++result.completed_items;
-    if (record.finish_time > patch.deadline() + 1e-9) ++result.violations;
-  };
+  MultiStreamResult result;
+  const core::TangramSystem::ResultFn on_result = tally_into(result);
 
   // Tangram is the TangramSystem facade on one shard, one stream per camera
   // registered with the camera's SLO class; the baselines invoke a bare
@@ -210,7 +312,7 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
       static_cast<FleetConfig&>(tangram_config) = config;
       tangram_config.sharding = core::ShardPolicy::single();
       tangram = std::make_unique<core::TangramSystem>(
-          sim, system_config_of(tangram_config), on_patch_done);
+          sim, system_config_of(tangram_config), on_result);
       register_cameras(*tangram, config, cameras.size(),
                        /*per_patch_slo=*/false);
       break;
@@ -221,19 +323,17 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
           "run_end_to_end: Full/Masked Frame are per-frame-only baselines");
     case StrategyKind::kElf:
       strategy = std::make_unique<baselines::ElfStrategy>(*bare, config.elf,
-                                                          on_patch_done);
+                                                          on_result);
       break;
     case StrategyKind::kClipper:
       strategy = std::make_unique<baselines::ClipperStrategy>(
-          *bare, config.clipper, on_patch_done);
+          *bare, config.clipper, on_result);
       break;
     case StrategyKind::kMArk:
       strategy = std::make_unique<baselines::MArkStrategy>(
-          sim, *bare, config.mark, on_patch_done);
+          sim, *bare, config.mark, on_result);
       break;
   }
-  const serverless::FunctionPlatform& platform =
-      tangram ? tangram->platform() : *bare;
 
   // Every strategy (Tangram, ELF-as-trigger-in-sequence, Clipper, MArk)
   // consumes the same Algorithm-1 patch stream; the ELF-system encode
@@ -249,8 +349,6 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
         }
       });
   emitter.start();
-  for (const SceneTrace* trace : cameras)
-    result.eval_frames += trace->eval_frame_count();
 
   sim.run();
   if (tangram) {
@@ -260,23 +358,8 @@ RunResult run_end_to_end(const std::vector<const SceneTrace*>& cameras,
   }
   sim.run();
 
-  result.total_bytes = emitter.bytes_sent();
-  result.total_cost = platform.total_cost();
-  result.invocations = platform.invocations();
-  result.instances_created = platform.instances_created();
-  result.fleet_size = platform.fleet_size();
-  result.stragglers = platform.stragglers();
-  result.retries = platform.retries();
-  result.exec_latency = platform.execution_latency();
-  result.execution_busy_s = platform.busy_seconds();
-  result.transmission_busy_s = emitter.link_busy_s();
-  result.makespan_s = sim.now();
-  if (tangram) {
-    core::InvokerStats stats = tangram->pool().aggregate_stats();
-    result.canvas_efficiency = std::move(stats.canvas_efficiency);
-    result.batch_canvases = std::move(stats.batch_canvas_count);
-    result.batch_patches = std::move(stats.batch_patch_count);
-  }
+  collect(result, sim, emitter, tangram ? tangram->platform() : *bare,
+          tangram.get());
   return result;
 }
 
@@ -310,22 +393,13 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
   if (cameras.empty())
     throw std::invalid_argument("run_multistream: no cameras");
   check_slo_classes("run_multistream", config, cameras.size());
+  check_scenario(config, cameras.size());
 
   sim::Simulator sim;
   const bool drifting = config.drift_at_s >= 0.0;
-
-  // Per-patch-SLO-class accounting (completions/misses keyed by the SLO the
-  // patch carried), filled through the result callback for drifting runs —
-  // pure tallying, so wiring it changes no simulation behaviour.
-  std::map<double, std::pair<std::size_t, std::size_t>> class_tally;
-  core::TangramSystem system(
-      sim, system_config_of(config),
-      [&class_tally](const core::Patch& patch,
-                     const serverless::InvocationRecord& record) {
-        auto& tally = class_tally[patch.slo];
-        ++tally.first;
-        if (record.finish_time > patch.deadline() + 1e-9) ++tally.second;
-      });
+  MultiStreamResult result;
+  result.e2e_latency = common::Sampler(config.telemetry_reservoir);
+  core::TangramSystem system(sim, system_config_of(config), tally_into(result));
   // Drifting runs register every stream with per-patch SLOs (slo_s = 0):
   // the registration-time router can't see the classes, only the
   // rebalancer's drift tracking can.
@@ -350,47 +424,8 @@ MultiStreamResult run_multistream(const std::vector<const SceneTrace*>& cameras,
   system.flush();
   sim.run();
 
-  MultiStreamResult result;
-  result.patches_sent = emitter.patches_sent();
-  result.streams = system.streams();
-  for (const auto& stream : result.streams) {
-    result.patches_completed += stream.patches_completed;
-    result.slo_violations += stream.slo_violations;
-  }
-  result.shards = system.pool().shard_count();
-  result.total_cost = system.total_cost();
-  result.invocations = system.platform().invocations();
-  const core::InvokerStats invoker_stats = system.pool().aggregate_stats();
-  result.batches = invoker_stats.batches_invoked;
-  result.batch_canvases = invoker_stats.batch_canvas_count;
-  result.canvas_efficiency = invoker_stats.canvas_efficiency;
-  result.saturated_dispatches = invoker_stats.saturated_dispatches;
-  result.rebalance.enabled = config.rebalance.active();
-  result.rebalance.ticks = system.pool().rebalance_ticks();
-  result.rebalance.migrations = invoker_stats.migrations;
-  result.rebalance.steals = invoker_stats.steals;
-  result.rebalance.steal_bytes = invoker_stats.steal_bytes;
-  // The pool allocates an (empty) series per shard even when no policy is
-  // active; only surface them when the adaptive layer actually ran.
-  if (result.rebalance.enabled)
-    result.rebalance.shard_occupancy = system.pool().shard_occupancy();
+  collect(result, sim, emitter, system.platform(), &system);
   result.per_patch_drift = drifting;
-  for (const auto& [slo, tally] : class_tally)
-    result.patch_classes.push_back(
-        MultiStreamResult::SloClassTally{slo, tally.first, tally.second});
-  result.makespan_s = sim.now();
-  result.events_executed = sim.events_executed();
-  result.pools = system.platform().pool_telemetry();
-  result.cold_starts = system.platform().cold_starts();
-  result.cold_start_setup = system.platform().cold_start_setup();
-  result.fleet_size = system.platform().fleet_size();
-  // Predictive-provisioning roll-up: sums over EVERY pool (the per-pool
-  // telemetry above keeps the series), matching the facade accessors.
-  result.forecast_active = config.platform.autoscale.forecasting();
-  for (const serverless::PoolTelemetry& pool : result.pools)
-    result.autoscale_samples += pool.series.size();
-  result.prewarm_boots = system.prewarm_boots();
-  result.prewarm_cost = system.prewarm_cost();
   return result;
 }
 
@@ -584,8 +619,6 @@ std::string deterministic_json(const MultiStreamResult& result) {
     out += ",\"migrations\":" + std::to_string(result.rebalance.migrations);
     out += ",\"steals\":" + std::to_string(result.rebalance.steals);
     out += ",\"steal_bytes\":" + std::to_string(result.rebalance.steal_bytes);
-    out += ",\"saturated_dispatches\":" +
-           std::to_string(result.saturated_dispatches);
     out += ",\"shard_occupancy\":[";
     for (std::size_t s = 0; s < result.rebalance.shard_occupancy.size(); ++s) {
       if (s) out += ',';

@@ -18,10 +18,11 @@
 //    SLO classes and per-stream telemetry.  This is what
 //    bench_multistream_scale sweeps from 1 stream to city scale (10k).
 //
-// Both live runners take a FleetConfig (the fields they share) and stream
-// their cameras through one patch emitter: one pending frame event per
+// Both live runners take a FleetConfig (the fields they share), stream
+// their cameras through one patch emitter (one pending frame event per
 // camera, and each in-flight patch parked in a recycled slot so uplink
-// delivery allocates nothing per patch.
+// delivery allocates nothing per patch) and fill one MultiStreamResult
+// through one completion callback and one collector.
 //
 // Every runner is an independent deterministic simulation over shared
 // immutable traces, so grids of them parallelize across threads via
@@ -88,40 +89,6 @@ struct EndToEndConfig : FleetConfig {
   bool dedicated_uplinks = false;
 };
 
-struct RunResult {
-  std::string strategy;
-  double total_cost = 0.0;
-  std::size_t invocations = 0;
-  int instances_created = 0;  // environments booted (= cold starts)
-  int fleet_size = 0;         // instance slots: the concurrency peak
-  std::size_t stragglers = 0;  // fault injection counters
-  std::size_t retries = 0;
-  std::size_t completed_items = 0;  // patches finished
-  std::size_t violations = 0;
-  common::Sampler e2e_latency;      // capture -> inference result, per item
-  common::Sampler exec_latency;     // per invocation
-  common::Sampler canvas_efficiency;  // Tangram only
-  common::Sampler batch_canvases;     // Tangram only
-  common::Sampler batch_patches;      // Tangram only
-  std::size_t total_bytes = 0;
-  double transmission_busy_s = 0.0;  // total link-occupied time
-  double execution_busy_s = 0.0;     // total billed function time
-  double makespan_s = 0.0;
-  std::size_t eval_frames = 0;
-
-  [[nodiscard]] double violation_rate() const {
-    return completed_items
-               ? static_cast<double>(violations) / completed_items
-               : 0.0;
-  }
-};
-
-// Live streaming run over the shared uplink; one camera per entry in
-// `cameras` (entries may alias the same trace for load scaling).
-[[nodiscard]] RunResult run_end_to_end(
-    const std::vector<const SceneTrace*>& cameras, StrategyKind kind,
-    const EndToEndConfig& config);
-
 // --- multi-stream scale-out scenario ----------------------------------------
 
 // Every stream gets its own `bandwidth_mbps` uplink.
@@ -155,9 +122,10 @@ struct MultiStreamConfig : FleetConfig {
   // Null = every shard on the platform's default pool (legacy behaviour).
   // Autoscaling is configured through platform.autoscale.
   core::TangramSystem::PoolAssignFn pool_for_shard;
-  // Reservoir capacity for every telemetry Sampler in the run (per-stream,
-  // per-shard, and platform); 0 = retain all samples.  Set for city-scale
-  // cells so per-sim telemetry memory stays fixed (see common/stats.h).
+  // Reservoir capacity for every telemetry Sampler in the run (fleet e2e,
+  // per-stream, per-shard, and platform); 0 = retain all samples.  Set for
+  // city-scale cells so per-sim telemetry memory stays fixed (see
+  // common/stats.h).
   std::size_t telemetry_reservoir = 0;
   // Prebuilt profiling campaign shared across runs with equivalent platform
   // / canvas / slack / seed configs (see TangramSystem::Config); null =
@@ -181,6 +149,9 @@ struct MultiStreamConfig : FleetConfig {
     double tight_slo_threshold, int tight_reserved, int loose_burst_limit,
     int tight_forecast_headroom = -1);
 
+// The result of a live run, from either runner.  A baseline run (ELF,
+// Clipper, MArk) has no scheduler: it leaves `streams` empty and `shards`
+// and `batches` at 0, and its batch samplers empty.
 struct MultiStreamResult {
   std::vector<core::StreamStats> streams;  // per-stream telemetry
   std::size_t shards = 0;                  // invoker-pool shards created
@@ -190,21 +161,28 @@ struct MultiStreamResult {
   double total_cost = 0.0;
   std::size_t invocations = 0;
   std::size_t batches = 0;
+  std::size_t stragglers = 0;  // fault injection counters
+  std::size_t retries = 0;
   double makespan_s = 0.0;
   std::uint64_t events_executed = 0;  // simulator events fired during the run
+  // Capture -> inference finish per patch, fleet-wide, in completion order
+  // (bounded by MultiStreamConfig::telemetry_reservoir).
+  common::Sampler e2e_latency;
+  common::Sampler exec_latency;  // per invocation
   common::Sampler batch_canvases;
+  common::Sampler batch_patches;
   common::Sampler canvas_efficiency;
+  std::size_t total_bytes = 0;
+  double transmission_busy_s = 0.0;  // total link-occupied time
+  double execution_busy_s = 0.0;     // total billed function time
+  std::size_t eval_frames = 0;
   // Platform capacity telemetry: one entry per capacity pool (default pool
   // first), each with instance peaks, cold starts, backlog-depth quantiles,
   // and the autoscaler's per-tick time series when a policy is active.
   std::vector<serverless::PoolTelemetry> pools;
-  std::uint64_t cold_starts = 0;
+  std::uint64_t cold_starts = 0;     // environments booted
   common::Sampler cold_start_setup;  // setup seconds per cold start
   int fleet_size = 0;                // instance slots (concurrency peak)
-
-  // Batches dispatched into a saturated capacity pool, summed across EVERY
-  // shard (InvokerPool::aggregate_stats — never a shard-0-only number).
-  std::size_t saturated_dispatches = 0;
 
   // --- predictive-provisioning telemetry -------------------------------------
   // Summed across EVERY capacity pool (never pool-0-only); per-pool series
@@ -230,7 +208,8 @@ struct MultiStreamResult {
   // the class accounting that stays meaningful when streams register with
   // slo_s = 0 and drift between classes (class_completions_misses() keys on
   // the registered stream class, which such runs don't have).  Sorted by
-  // slo_s ascending; filled only for drifting-class-mix runs.
+  // slo_s ascending; deterministic_json emits it only for drifting or
+  // rebalancing runs.
   struct SloClassTally {
     double slo_s = 0.0;
     std::size_t completed = 0;
@@ -254,8 +233,17 @@ struct MultiStreamResult {
       double slo_class) const;
 };
 
+// Live streaming run over the shared uplink; one camera per entry in
+// `cameras` (entries may alias the same trace for load scaling).  Tangram
+// runs as run_multistream does on ShardPolicy::single(), and reports alike.
+[[nodiscard]] MultiStreamResult run_end_to_end(
+    const std::vector<const SceneTrace*>& cameras, StrategyKind kind,
+    const EndToEndConfig& config);
+
 // One camera per entry in `cameras` (entries may alias the same trace for
 // load scaling); camera i becomes stream i of a single shared TangramSystem.
+// Throws std::invalid_argument on a non-finite drift class or start offset,
+// a negative start offset, or a NaN or +inf drift_at_s.
 [[nodiscard]] MultiStreamResult run_multistream(
     const std::vector<const SceneTrace*>& cameras,
     const MultiStreamConfig& config);

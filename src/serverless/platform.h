@@ -321,18 +321,14 @@ class FunctionPlatform {
   // --- accounting -----------------------------------------------------------
   [[nodiscard]] double total_cost() const { return total_cost_; }
   [[nodiscard]] std::uint64_t invocations() const { return next_id_; }
-  // Execution environments created over the platform's lifetime.  Every cold
-  // start boots a fresh environment — including reuse of a cooled-down slot,
-  // which the historical instances_.size() accounting missed.
-  [[nodiscard]] int instances_created() const {
-    return static_cast<int>(cold_starts_);
-  }
   // Instance slots in the fleet (never shrinks; the concurrency high-water
   // mark of the run).
   [[nodiscard]] int fleet_size() const {
     return static_cast<int>(instances_.size());
   }
-  [[nodiscard]] int instances_in_use() const { return total_in_use_; }
+  // Execution environments booted over the platform's lifetime.  Every cold
+  // start boots a fresh environment — including reuse of a cooled-down slot,
+  // so this can exceed fleet_size().
   [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
   // Pre-warm boots / billed pre-warm setup cost, summed across EVERY pool
   // (never a pool-0-only number).  Disjoint from cold_starts(): a pre-warmed

@@ -237,7 +237,7 @@ TEST(DispatchAlloc, HarnessDeliveryAllocatesNothingPerPatch) {
       g.trace, [&](const std::vector<const experiments::SceneTrace*>& fleet) {
         return experiments::run_end_to_end(
                    fleet, experiments::StrategyKind::kTangram, end_to_end)
-            .completed_items;
+            .patches_completed;
       });
   EXPECT_LT(tangram, 0.5);
 }

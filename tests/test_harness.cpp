@@ -47,7 +47,7 @@ SceneTrace* HarnessTest::trace_ = nullptr;
 TEST_F(HarnessTest, TangramCompletesEveryPatch) {
   const auto result = run_end_to_end({trace_}, StrategyKind::kTangram,
                                      quick_config());
-  EXPECT_EQ(result.completed_items, total_patches());
+  EXPECT_EQ(result.patches_completed, total_patches());
   EXPECT_GT(result.total_cost, 0.0);
   EXPECT_GT(result.invocations, 0u);
   EXPECT_GT(result.canvas_efficiency.count(), 0u);
@@ -58,7 +58,7 @@ TEST_F(HarnessTest, EveryPatchStrategyCompletesTheStream) {
   for (const auto kind : {StrategyKind::kElf, StrategyKind::kClipper,
                           StrategyKind::kMArk}) {
     const auto result = run_end_to_end({trace_}, kind, quick_config());
-    EXPECT_EQ(result.completed_items, total_patches())
+    EXPECT_EQ(result.patches_completed, total_patches())
         << to_string(kind);
     EXPECT_GT(result.total_cost, 0.0) << to_string(kind);
   }
@@ -87,7 +87,7 @@ TEST_F(HarnessTest, MultipleCamerasScaleBytes) {
   const auto two = run_end_to_end({trace_, trace_}, StrategyKind::kTangram,
                                   quick_config());
   EXPECT_EQ(two.total_bytes, 2 * one.total_bytes);
-  EXPECT_EQ(two.completed_items, 2 * one.completed_items);
+  EXPECT_EQ(two.patches_completed, 2 * one.patches_completed);
 }
 
 TEST_F(HarnessTest, TighterSloRaisesCostOrViolations) {
@@ -137,6 +137,65 @@ TEST_F(HarnessTest, RunnersRejectNonPositiveOrNonFiniteSloClass) {
   }
 }
 
+TEST_F(HarnessTest, MultistreamRejectsNonFiniteScenarioInputs) {
+  // Unchecked, a +inf drift class would meet every SLO, a NaN one or a NaN
+  // drift_at_s would silently keep the base class, a +inf drift_at_s would
+  // register per-patch streams that never drift, and a +inf start offset
+  // would "complete" every patch at time inf.  Camera 1 of two takes the
+  // value.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<const SceneTrace*> cameras(2, trace_);
+  MultiStreamConfig base;
+  base.slo_s = 1.0;
+  struct Case {
+    MultiStreamConfig config;
+    const char* named;  // what the message must name
+  };
+  std::vector<Case> cases;
+  for (const double drift_to : {kNaN, kInf, -kInf}) {
+    MultiStreamConfig c = base;
+    c.drift_at_s = 0.0;
+    c.drift_to_slo = {0.5, drift_to};
+    cases.push_back({c, "cam-1"});
+  }
+  for (const double drift_at : {kNaN, kInf}) {
+    MultiStreamConfig c = base;
+    c.drift_at_s = drift_at;
+    c.drift_to_slo = {0.5, 0.5};
+    cases.push_back({c, "drift_at_s"});
+  }
+  for (const double start : {kNaN, kInf, -kInf, -5.0}) {
+    MultiStreamConfig c = base;
+    c.per_stream_start_s = {0.0, start};
+    cases.push_back({c, "cam-1"});
+  }
+  for (const Case& c : cases) {
+    std::string message;
+    try {
+      (void)run_multistream(cameras, c.config);
+    } catch (const std::invalid_argument& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find(c.named), std::string::npos)
+        << "drift_at_s=" << c.config.drift_at_s << " message: " << message;
+  }
+
+  // Finite drift classes <= 0 keep the base class, and a negative
+  // drift_at_s, -inf included, means no drift.
+  MultiStreamConfig keep = base;
+  keep.drift_at_s = 0.0;
+  keep.drift_to_slo = {0.0, -1.0};
+  const auto kept = run_multistream(cameras, keep);
+  EXPECT_EQ(kept.patch_class_misses(1.0).first, 2 * total_patches());
+  MultiStreamConfig off = base;
+  off.drift_at_s = -kInf;
+  off.drift_to_slo = {0.001, 0.001};
+  const auto undrifted = run_multistream(cameras, off);
+  EXPECT_FALSE(undrifted.per_patch_drift);
+  EXPECT_EQ(undrifted.patch_class_misses(1.0).first, 2 * total_patches());
+}
+
 TEST_F(HarnessTest, PerFrameCostOrderingMatchesFig8) {
   EndToEndConfig config = quick_config();
   config.latency = serverless::alibaba_function_compute_params();
@@ -170,7 +229,7 @@ TEST_F(HarnessTest, DedicatedUplinksReduceQueueing) {
       run_end_to_end({trace_, trace_}, StrategyKind::kTangram, shared);
   const auto d =
       run_end_to_end({trace_, trace_}, StrategyKind::kTangram, dedicated);
-  EXPECT_EQ(s.completed_items, d.completed_items);
+  EXPECT_EQ(s.patches_completed, d.patches_completed);
   // Two dedicated 10 Mbps links carry strictly more than one shared one.
   EXPECT_LE(d.e2e_latency.mean(), s.e2e_latency.mean() + 1e-9);
 }
@@ -188,10 +247,11 @@ TEST_F(HarnessTest, PerCameraSloOverridesDefault) {
 
 // --- paper-figure path golden ------------------------------------------------
 
-// Every RunResult field at full precision, sampler values included, so any
-// change to a simulated number of the Fig. 12-14 path is a byte difference.
-std::string serialize(const RunResult& r) {
-  std::string out = r.strategy;
+// Every field the Fig. 12-14 tables read, at full precision and sampler
+// values included, so any change to a simulated number of that path is a
+// byte difference.  The layout is the one the goldens were recorded with.
+std::string serialize(const MultiStreamResult& r) {
+  std::string out = to_string(StrategyKind::kTangram);
   const auto num = [&out](double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, " %.17g", v);
@@ -209,12 +269,12 @@ std::string serialize(const RunResult& r) {
   };
   num(r.total_cost);
   count(r.invocations);
-  count(static_cast<std::size_t>(r.instances_created));
+  count(r.cold_starts);
   count(static_cast<std::size_t>(r.fleet_size));
   count(r.stragglers);
   count(r.retries);
-  count(r.completed_items);
-  count(r.violations);
+  count(r.patches_completed);
+  count(r.slo_violations);
   sampler(r.e2e_latency);
   sampler(r.exec_latency);
   sampler(r.canvas_efficiency);
@@ -291,11 +351,11 @@ TEST_F(HarnessTest, TangramEndToEndMatchesGolden) {
 
   for (const Case& c : cases) {
     const std::vector<const SceneTrace*> cameras(c.cameras, trace_);
-    const RunResult result =
+    const MultiStreamResult result =
         run_end_to_end(cameras, StrategyKind::kTangram, c.config);
     // The cases exercise what they are named for.
     if (c.config.canvas.width < 1024) {
-      EXPECT_GT(result.completed_items, c.cameras * total_patches())
+      EXPECT_GT(result.patches_completed, c.cameras * total_patches())
           << c.name;
     }
     if (c.config.platform.faults.enabled()) {
@@ -384,6 +444,41 @@ TEST_F(HarnessTest, MultistreamAutoscaleRecordsPerPoolSeries) {
   EXPECT_EQ(result.patches_completed, 2 * total_patches());
   ASSERT_GE(result.pools.size(), 1u);
   EXPECT_FALSE(result.pools[0].series.empty());
+}
+
+TEST_F(HarnessTest, BothRunnersReportOneRunAlike) {
+  // Tangram through run_end_to_end on dedicated uplinks is run_multistream
+  // on one shard: the same run, reported field for field alike.
+  EndToEndConfig end_to_end = quick_config();
+  end_to_end.per_stream_slo = {0.4, 2.0};
+  end_to_end.dedicated_uplinks = true;
+  MultiStreamConfig multistream;
+  static_cast<FleetConfig&>(multistream) = end_to_end;
+  multistream.sharding = core::ShardPolicy::single();
+  const std::vector<const SceneTrace*> cameras(3, trace_);
+  const MultiStreamResult a =
+      run_end_to_end(cameras, StrategyKind::kTangram, end_to_end);
+  const MultiStreamResult b = run_multistream(cameras, multistream);
+  EXPECT_EQ(deterministic_json(a), deterministic_json(b));
+  EXPECT_EQ(a.streams.size(), 3u);
+  EXPECT_EQ(a.shards, 1u);
+  EXPECT_EQ(a.e2e_latency.values(), b.e2e_latency.values());
+  EXPECT_EQ(a.exec_latency.values(), b.exec_latency.values());
+  EXPECT_EQ(a.batch_patches.values(), b.batch_patches.values());
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.transmission_busy_s, b.transmission_busy_s);
+  EXPECT_EQ(a.execution_busy_s, b.execution_busy_s);
+  EXPECT_EQ(a.eval_frames, b.eval_frames);
+
+  // A baseline has no scheduler: no streams, shards or batches.
+  const MultiStreamResult elf =
+      run_end_to_end(cameras, StrategyKind::kElf, end_to_end);
+  EXPECT_EQ(elf.patches_sent, 3 * total_patches());
+  EXPECT_EQ(elf.patches_completed, elf.patches_sent);
+  EXPECT_EQ(elf.invocations, elf.patches_sent);  // one per patch
+  EXPECT_TRUE(elf.streams.empty());
+  EXPECT_EQ(elf.shards, 0u);
+  EXPECT_EQ(elf.batches, 0u);
 }
 
 TEST_F(HarnessTest, RunShardedAddsReservedLegWhenPoolsAreWired) {

@@ -103,7 +103,7 @@ TEST_F(IntegrationTest, DeterministicAcrossRuns) {
   const auto b = run_end_to_end(cameras(), StrategyKind::kTangram, config);
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_EQ(a.invocations, b.invocations);
-  EXPECT_EQ(a.violations, b.violations);
+  EXPECT_EQ(a.slo_violations, b.slo_violations);
 }
 
 }  // namespace

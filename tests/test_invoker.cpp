@@ -115,7 +115,7 @@ TEST(Invoker, MemoryOverflowFlushesOldCanvases) {
   EXPECT_EQ(f.invoked[0].total_patches, 2);
   EXPECT_NEAR(f.invoked[0].invoke_time, 0.2, 1e-9);  // at third arrival
   EXPECT_EQ(f.invoked[1].total_patches, 1);
-  EXPECT_EQ(f.invoker->forced_flushes(), 1u);
+  EXPECT_EQ(f.invoker->stats().forced_flushes, 1u);
 }
 
 TEST(Invoker, SloPressureFlushesOldBatch) {
@@ -199,7 +199,7 @@ TEST(Invoker, ExactBoundaryArrivalIsOnTimeNotHopeless) {
   // Invoked at t_remain, the batch finishes exactly at the deadline.
   EXPECT_DOUBLE_EQ(f.invoked[0].earliest_deadline,
                    f.invoked[0].invoke_time + f.invoked[0].slack_estimate);
-  EXPECT_EQ(f.invoker->forced_flushes(), 0u);
+  EXPECT_EQ(f.invoker->stats().forced_flushes, 0u);
 }
 
 TEST(Invoker, ExactBoundaryAdmissionKeepsBatchTogether) {
@@ -223,7 +223,7 @@ TEST(Invoker, ExactBoundaryAdmissionKeepsBatchTogether) {
   EXPECT_EQ(f.invoked[0].total_patches, 2);
   EXPECT_EQ(f.invoked[0].canvas_count(), 2);
   EXPECT_DOUBLE_EQ(f.invoked[0].invoke_time, 0.625);
-  EXPECT_EQ(f.invoker->forced_flushes(), 0u);
+  EXPECT_EQ(f.invoker->stats().forced_flushes, 0u);
 }
 
 TEST(Invoker, FlushDispatchesPendingWork) {
@@ -267,9 +267,9 @@ TEST(Invoker, TelemetryAccumulates) {
     });
   }
   f.sim.run();
-  EXPECT_GE(f.invoker->batches_invoked(), 1u);
-  EXPECT_EQ(f.invoker->batch_patch_count().stats().sum(), 6.0);
-  EXPECT_GT(f.invoker->canvas_efficiency().count(), 0u);
+  EXPECT_GE(f.invoker->stats().batches_invoked, 1u);
+  EXPECT_EQ(f.invoker->stats().batch_patch_count.stats().sum(), 6.0);
+  EXPECT_GT(f.invoker->stats().canvas_efficiency.count(), 0u);
 }
 
 TEST(Invoker, IncrementalFastPathAbsorbsEveryArrival) {
@@ -283,8 +283,8 @@ TEST(Invoker, IncrementalFastPathAbsorbsEveryArrival) {
   f.sim.run();
   // Every arrival is absorbed by a session add; the from-scratch solver
   // runs only when migration detaches a stream.
-  EXPECT_EQ(f.invoker->incremental_adds(), 6u);
-  EXPECT_EQ(f.invoker->full_repacks(), 0u);
+  EXPECT_EQ(f.invoker->stats().incremental_adds, 6u);
+  EXPECT_EQ(f.invoker->stats().full_repacks, 0u);
 }
 
 TEST(Invoker, ForcedFlushReAdmitsNewcomerIncrementally) {
@@ -298,9 +298,9 @@ TEST(Invoker, ForcedFlushReAdmitsNewcomerIncrementally) {
   f.sim.run();
   // Third arrival: tentative add, rollback, flush, re-add -> 4 session adds
   // total, still no from-scratch repack.
-  EXPECT_EQ(f.invoker->forced_flushes(), 1u);
-  EXPECT_EQ(f.invoker->incremental_adds(), 4u);
-  EXPECT_EQ(f.invoker->full_repacks(), 0u);
+  EXPECT_EQ(f.invoker->stats().forced_flushes, 1u);
+  EXPECT_EQ(f.invoker->stats().incremental_adds, 4u);
+  EXPECT_EQ(f.invoker->stats().full_repacks, 0u);
 }
 
 TEST(Invoker, DetachStreamRepacksSurvivorsInQueueOrder) {
@@ -324,7 +324,7 @@ TEST(Invoker, DetachStreamRepacksSurvivorsInQueueOrder) {
   });
   f.sim.run();
   EXPECT_EQ(detached, (std::vector<std::uint64_t>{1, 3, 5}));
-  EXPECT_EQ(f.invoker->full_repacks(), 1u);
+  EXPECT_EQ(f.invoker->stats().full_repacks, 1u);
 
   const std::vector<common::Size> survivors = {sizes[0], sizes[2], sizes[4]};
   const StitchResult expected = StitchSolver().pack(survivors, {1024, 1024});

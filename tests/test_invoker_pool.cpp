@@ -121,10 +121,12 @@ TEST(InvokerPool, ShardsBatchIndependently) {
   ASSERT_EQ(f.invoked.size(), 2u);
   EXPECT_NEAR(f.invoked[0].invoke_time, 0.3, 1e-9);
   EXPECT_NEAR(f.invoked[1].invoke_time, 1.8, 1e-9);
-  EXPECT_EQ(f.pool->shard(static_cast<std::size_t>(tight)).batches_invoked(),
-            1u);
-  EXPECT_EQ(f.pool->shard(static_cast<std::size_t>(loose)).batches_invoked(),
-            1u);
+  EXPECT_EQ(
+      f.pool->shard(static_cast<std::size_t>(tight)).stats().batches_invoked,
+      1u);
+  EXPECT_EQ(
+      f.pool->shard(static_cast<std::size_t>(loose)).stats().batches_invoked,
+      1u);
 }
 
 TEST(InvokerPool, FlushDrainsEveryShardAndPendingSums) {
@@ -160,8 +162,8 @@ TEST(InvokerPool, AggregateStatsSumShards) {
   EXPECT_EQ(stats.incremental_adds, 3u);
   EXPECT_NEAR(stats.batch_patch_count.stats().sum(), 3.0, 1e-12);
   EXPECT_EQ(stats.canvas_efficiency.count(),
-            f.pool->shard(0).canvas_efficiency().count() +
-                f.pool->shard(1).canvas_efficiency().count());
+            f.pool->shard(0).stats().canvas_efficiency.count() +
+                f.pool->shard(1).stats().canvas_efficiency.count());
 }
 
 // --- single-shard pool == raw invoker (the byte-identical contract) ---------
@@ -257,8 +259,9 @@ TEST(InvokerPool, PerClassShardingStopsCrossClassForcedFlushChurn) {
     f.pool->flush();
     stats_out = f.pool->aggregate_stats();
     if (f.pool->shard_count() > 1)
-      loose_batches =
-          f.pool->shard(static_cast<std::size_t>(loose)).batch_canvas_count();
+      loose_batches = f.pool->shard(static_cast<std::size_t>(loose))
+                          .stats()
+                          .batch_canvas_count;
     else
       loose_batches = stats_out.batch_canvas_count;
   };

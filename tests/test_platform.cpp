@@ -73,7 +73,7 @@ TEST(Platform, WarmInstanceReused) {
   EXPECT_TRUE(records[0].cold_start);
   EXPECT_FALSE(records[1].cold_start);
   EXPECT_EQ(records[1].instance_id, records[0].instance_id);
-  EXPECT_EQ(platform.instances_created(), 1);
+  EXPECT_EQ(platform.cold_starts(), 1u);
 }
 
 TEST(Platform, ConcurrentRequestsScaleOut) {
@@ -86,7 +86,7 @@ TEST(Platform, ConcurrentRequestsScaleOut) {
     platform.invoke(spec, [&](const InvocationRecord&) { ++done; });
   sim.run();
   EXPECT_EQ(done, 4);
-  EXPECT_EQ(platform.instances_created(), 4);  // concurrency 1 per instance
+  EXPECT_EQ(platform.cold_starts(), 4u);  // concurrency 1 per instance
 }
 
 TEST(Platform, KeepaliveExpiryCausesSecondColdStart) {
@@ -113,7 +113,6 @@ TEST(Platform, KeepaliveExpiryCausesSecondColdStart) {
   // The slot is reused, not grown — but re-provisioning it is a second cold
   // start and therefore a second execution environment.
   EXPECT_EQ(platform.fleet_size(), 1);
-  EXPECT_EQ(platform.instances_created(), 2);
   EXPECT_EQ(platform.cold_starts(), 2u);
 }
 
@@ -132,7 +131,7 @@ TEST(Platform, BacklogDrainsFifoWhenAtMaxInstances) {
   EXPECT_EQ(platform.queued_requests(), 2u);
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(platform.instances_created(), 1);
+  EXPECT_EQ(platform.cold_starts(), 1u);
 }
 
 TEST(Platform, BacklogDrainOrderPreservedAcrossMultipleInstances) {
@@ -152,7 +151,7 @@ TEST(Platform, BacklogDrainOrderPreservedAcrossMultipleInstances) {
   // Both instances free in lockstep (deterministic latency) and the backlog
   // must still drain strictly FIFO.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(platform.instances_created(), 2);
+  EXPECT_EQ(platform.cold_starts(), 2u);
 }
 
 TEST(Platform, DrainedBacklogReusesWarmInstanceWithoutColdStart) {
@@ -194,9 +193,8 @@ TEST(Platform, DrainedBacklogPaysColdStartOnCooledSlot) {
   EXPECT_TRUE(records[1].cold_start);  // cooled slot, not a warm reuse
   EXPECT_EQ(records[1].instance_id, records[0].instance_id);
   EXPECT_EQ(platform.fleet_size(), 1);  // slot reused, fleet not grown
-  // The cooled-slot cold start counts as a created environment: the
-  // historical instances_.size() accounting reported 1 here and undercounted.
-  EXPECT_EQ(platform.instances_created(), 2);
+  // The cooled-slot cold start boots a second environment: the historical
+  // instances_.size() accounting reported 1 here and undercounted.
   EXPECT_EQ(platform.cold_starts(), 2u);
   EXPECT_NEAR(records[1].start_time,
               records[0].finish_time + config.cold_start_s, 1e-12);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 namespace tangram::core {
 namespace {
 
@@ -171,6 +175,53 @@ TEST(TangramSystem, UnknownStreamIdThrows) {
   (void)system.register_stream({});
   EXPECT_THROW(system.receive_patch(StreamId{5}, make_patch(1, {300, 300}, 0.0)),
                std::out_of_range);
+}
+
+TEST(TangramSystem, RejectsBadInputBeforeCountingIt) {
+  // A stream SLO class must be finite; a patch needs an area, a finite
+  // capture time and, on a per-patch-SLO stream, a positive finite SLO.  A
+  // rejected call moves no counter or queue.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sim::Simulator sim;
+  TangramSystem system(sim, quiet_config(), nullptr);
+  for (const double slo : {kNaN, kInf, -kInf})
+    EXPECT_THROW((void)system.register_stream({"bad", slo}),
+                 std::invalid_argument)
+        << slo;
+  EXPECT_TRUE(system.streams().empty());
+  EXPECT_EQ(system.pool().shard_count(), 0u);
+
+  const StreamId fixed = system.register_stream({"fixed", 1.0});
+  const StreamId per_patch = system.register_stream({"per-patch", 0.0});
+  system.receive_patch(fixed, make_patch(1, {300, 300}, 0.0));
+  system.receive_patch(per_patch, make_patch(2, {300, 300}, 0.0, 5.0));
+  ASSERT_EQ(system.pool().pending_patches(), 2u);
+
+  std::vector<std::pair<StreamId, Patch>> rejected;
+  for (const StreamId stream : {fixed, per_patch}) {
+    rejected.emplace_back(stream, make_patch(3, {0, 300}, 0.0, 5.0));
+    rejected.emplace_back(stream, make_patch(3, {300, 0}, 0.0, 5.0));
+    for (const double generation : {kNaN, kInf, -kInf})
+      rejected.emplace_back(stream,
+                            make_patch(3, {300, 300}, generation, 5.0));
+  }
+  for (const double slo : {0.0, -1.0, kNaN, kInf})
+    rejected.emplace_back(per_patch, make_patch(3, {300, 300}, 0.0, slo));
+  for (const auto& [stream, patch] : rejected) {
+    EXPECT_THROW(system.receive_patch(stream, patch), std::invalid_argument)
+        << "stream " << stream << " region " << patch.region.width << "x"
+        << patch.region.height << " generation " << patch.generation_time
+        << " slo " << patch.slo;
+    EXPECT_EQ(system.stream_stats(stream).patches_received, 1u);
+    EXPECT_EQ(system.pool().pending_patches(), 2u);
+  }
+
+  sim.run();
+  system.flush();
+  sim.run();
+  EXPECT_EQ(system.stream_stats(fixed).patches_completed, 1u);
+  EXPECT_EQ(system.stream_stats(per_patch).patches_completed, 1u);
 }
 
 TEST(TangramSystem, UnschedulableGpuConfigThrowsAtConstruction) {
