@@ -37,18 +37,18 @@
 // Part 5 — predictive provisioning: forecast-driven autoscaling with
 // pre-warming on two arrival shapes of the Part 2/3 fleet.
 //
-// Every sweep cell is an independent deterministic simulation, so the grid
-// runs on a ParallelSweepRunner worker pool (--jobs N; 0 = one worker per
-// hardware thread), and stdout and --json are byte-identical for every N:
-// both carry simulation results only.  Wall-clock throughput, peak RSS and
-// allocations per patch are measured by benchmark/ under BENCHMARK.json's
-// bounds.  Part 1 adds a city-scale axis (256 -> 10000 streams, hashed
-// shards, bounded telemetry reservoirs).  The city axis is an OVERLOAD
-// axis: it keeps the default 64 instances, so from 1024 streams on
-// 97-99.8% of patches miss their SLO.
+// Every sweep cell is an independent deterministic simulation, run one
+// after another on the calling thread.  stdout and --json carry simulation
+// results only, so both are byte-identical from run to run; ctest diffs them
+// against bench/expected/ (label `outputs`).  Wall-clock throughput, peak
+// RSS and allocations per patch are measured by benchmark/ under
+// BENCHMARK.json's bounds.  Part 1 adds a city-scale axis (256 -> 10000
+// streams, hashed shards, bounded telemetry reservoirs).  The city axis is
+// an OVERLOAD axis: it keeps the default 64 instances, so from 1024 streams
+// on 97-99.8% of patches miss their SLO.
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -56,6 +56,8 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -152,32 +154,42 @@ void fleet_row(JsonDoc& json, const char* layout, const char* autoscale,
 }
 
 // Runs `count` cells of `cameras`, cell i on `base` with tweak(i, config)
-// applied, on `jobs` workers; results come back in cell order.
+// applied; results come back in cell order.
 std::vector<MultiStreamResult> run_tweaked(
     const std::vector<const SceneTrace*>& cameras,
-    const MultiStreamConfig& base, std::size_t count, int jobs,
+    const MultiStreamConfig& base, std::size_t count,
     const std::function<void(std::size_t, MultiStreamConfig&)>& tweak) {
-  std::vector<experiments::MultiStreamCell> cells(count, {cameras, base});
-  for (std::size_t i = 0; i < count; ++i) tweak(i, cells[i].config);
-  return experiments::run_multistream_cells(cells, jobs);
+  std::vector<MultiStreamResult> results;
+  for (std::size_t i = 0; i < count; ++i) {
+    MultiStreamConfig config = base;
+    tweak(i, config);
+    results.push_back(experiments::run_multistream(cameras, config));
+  }
+  return results;
+}
+
+// Parses a whole non-negative decimal number (no sign, no blanks, no
+// trailing characters, no overflow) into `out`; false leaves `out` as is.
+bool parse_count(std::string_view text, std::size_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && stop == end;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path;
-  int jobs = 0;                     // 0 = one worker per hardware thread
-  std::size_t max_streams = 4096;   // cap on the city axis (10000 is opt-in)
+  std::size_t max_streams = 4096;  // cap on the city axis (10000 is opt-in)
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--max-streams") == 0 && i + 1 < argc) {
-      max_streams = static_cast<std::size_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--max-streams") == 0 && i + 1 < argc &&
+               parse_count(argv[i + 1], max_streams)) {
+      ++i;
     } else {
       std::cerr << "usage: bench_multistream_scale [--json <path>] "
-                   "[--jobs <n>] [--max-streams <n>]\n";
+                   "[--max-streams <n>]\n";
       return 2;
     }
   }
@@ -215,33 +227,29 @@ int main(int argc, char** argv) {
   for (const std::size_t n : {256u, 1024u, 4096u, 10000u})
     if (n <= max_streams) specs.push_back({n, "hashed8"});
 
-  // All cells share one platform/canvas/slack/seed config, so the offline
-  // profiling campaign runs once for the whole grid (bit-identical to
+  // All cells share the default platform/canvas/slack/seed config, so the
+  // offline profiling campaign runs once for the whole grid (bit-identical to
   // per-cell profiling; see TangramSystem::Config::profiled_estimator).
-  std::vector<experiments::MultiStreamCell> cells;
+  const auto shared_profile =
+      experiments::profile_estimator(MultiStreamConfig{});
+  std::vector<MultiStreamResult> sweep;
   for (const SweepSpec& spec : specs) {
-    experiments::MultiStreamCell cell;
-    cell.cameras.assign(spec.streams, &trace);
-    cell.config.per_stream_slo = stream_slos(spec.streams);
+    MultiStreamConfig config;
+    config.per_stream_slo = stream_slos(spec.streams);
     if (std::strcmp(spec.layout, "single") == 0) {
       // Single shared shard: keeps this scaling series comparable with the
       // pre-pool runs; the sharding study is Part 2 below.
-      cell.config.sharding = core::ShardPolicy::single();
+      config.sharding = core::ShardPolicy::single();
     } else {
-      cell.config.sharding = core::ShardPolicy::hashed(kCityShards);
-      cell.config.telemetry_reservoir = kCityReservoir;
+      config.sharding = core::ShardPolicy::hashed(kCityShards);
+      config.telemetry_reservoir = kCityReservoir;
     }
-    cells.push_back(std::move(cell));
-  }
-  const auto shared_profile =
-      experiments::profile_estimator(cells.front().config);
-  for (auto& cell : cells) cell.config.profiled_estimator = shared_profile;
-  const auto sweep = experiments::run_multistream_cells(cells, jobs);
-
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const MultiStreamResult& r = sweep[i];
+    config.profiled_estimator = shared_profile;
+    const std::vector<const SceneTrace*> cameras(spec.streams, &trace);
+    const MultiStreamResult& r =
+        sweep.emplace_back(experiments::run_multistream(cameras, config));
     const auto q2i = r.pooled_queue_to_invoke();
-    table.add_row({std::to_string(specs[i].streams), specs[i].layout,
+    table.add_row({std::to_string(spec.streams), spec.layout,
                    std::to_string(r.shards),
                    std::to_string(r.patches_completed),
                    common::Table::num(q2i.quantile(0.50), 4),
@@ -250,8 +258,8 @@ int main(int argc, char** argv) {
                    std::to_string(r.batches),
                    common::Table::num(r.total_cost, 4)});
     JsonDoc::row(json.sweep)
-        << "{\"layout\": \"" << specs[i].layout
-        << "\", \"streams\": " << specs[i].streams
+        << "{\"layout\": \"" << spec.layout
+        << "\", \"streams\": " << spec.streams
         << ", \"shards\": " << r.shards
         << ", \"patches\": " << r.patches_completed
         << ", \"events\": " << r.events_executed
@@ -315,7 +323,6 @@ int main(int argc, char** argv) {
   // the sweep's estimator serves the three run_sharded legs and every later
   // part too.
   fleet_config.profiled_estimator = shared_profile;
-  fleet_config.jobs = jobs;
   const auto comparison = experiments::run_sharded(fleet, fleet_config);
 
   common::Table shard_table({"Layout", "Shards", "Invocations",
@@ -387,15 +394,14 @@ int main(int argc, char** argv) {
   // The static leg IS comparison.sharded_reserved (already simulated and
   // recorded above); only the moving policy needs a fresh run.
   add_policy_row("static", comparison.sharded_reserved);
+  MultiStreamConfig queue_pressure_config = fleet_config;
+  queue_pressure_config.sharding = core::ShardPolicy::per_slo_class();
+  queue_pressure_config.platform.autoscale =
+      serverless::AutoscalePolicy::queue_pressure(2, 0.5, 1);
   const auto queue_pressure =
-      run_tweaked(fleet, fleet_config, 1, jobs,
-                  [](std::size_t, MultiStreamConfig& config) {
-                    config.sharding = core::ShardPolicy::per_slo_class();
-                    config.platform.autoscale =
-                        serverless::AutoscalePolicy::queue_pressure(2, 0.5, 1);
-                  });
-  fleet_row(json, "sharded+reserved", "queue-pressure", queue_pressure[0]);
-  add_policy_row("queue-pressure", queue_pressure[0]);
+      experiments::run_multistream(fleet, queue_pressure_config);
+  fleet_row(json, "sharded+reserved", "queue-pressure", queue_pressure);
+  add_policy_row("queue-pressure", queue_pressure);
   auto_table.print();
 
   // --- Part 4: adaptive rebalancing — the drifting-class-mix fleet ---------
@@ -427,7 +433,7 @@ int main(int argc, char** argv) {
       {"drift+steal", drift_steal},
   };
   const auto rebalance_runs =
-      run_tweaked(fleet, drift_config, std::size(rebalancers), jobs,
+      run_tweaked(fleet, drift_config, std::size(rebalancers),
                   [&](std::size_t i, MultiStreamConfig& config) {
                     config.rebalance = rebalancers[i].policy;
                   });
@@ -528,7 +534,7 @@ int main(int argc, char** argv) {
       /*tight_forecast_headroom=*/4);
   const auto forecast_runs = run_tweaked(
       fleet, forecast_config, std::size(forecast_traces) * kForecastPolicies,
-      jobs, [&](std::size_t i, MultiStreamConfig& config) {
+      [&](std::size_t i, MultiStreamConfig& config) {
         const auto& trace_leg = forecast_traces[i / kForecastPolicies];
         config.platform.autoscale =
             forecast_policies[i % kForecastPolicies].policy;

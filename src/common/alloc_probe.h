@@ -16,12 +16,13 @@
 //   hot_loop();
 //   EXPECT_EQ(probe.allocations(), 0u);
 //
-// The counter is an inline atomic with relaxed ordering: jobs-8 golden
-// suites fire operator new from worker threads, and relaxed increments keep
-// the hook cheap enough that warm-up phases are not distorted.  Without the
-// hook macro instantiated anywhere in the binary, the counter simply never
-// moves and AllocationProbe::allocations() reports 0 — the probe is inert,
-// not wrong, which is why it is safe to keep in a shared header.
+// The counter is an inline atomic with relaxed ordering: the hook is
+// process-wide, so it counts every thread's operator new, and relaxed
+// increments keep it cheap enough that warm-up phases are not distorted.
+// Without the hook macro instantiated anywhere in the binary, the counter
+// simply never moves and AllocationProbe::allocations() reports 0 — the
+// probe is inert, not wrong, which is why it is safe to keep in a shared
+// header.
 
 #pragma once
 

@@ -5,16 +5,16 @@
 // engine is PCG32 (O'Neill 2014): tiny state, excellent statistical quality,
 // and — unlike std::mt19937 — identical streams across standard libraries.
 //
-// Thread-safety / per-sim seeding contract (audited for the parallel sweep
-// runner): Rng is a 16-byte value type with NO static or global state — this
-// header defines no globals, never touches ::rand/std::random_device, and
-// every draw mutates only the owning object.  Each simulation owns its Rngs
-// (seeded from its config seed, decorrelated via the `stream` parameter or
-// fork()), so any number of sims can run concurrently on different threads
-// and each produces the byte-identical result it would produce alone.  Do
-// not share one Rng object across sims or threads — hand each consumer its
-// own seeded instance instead, which is also what keeps results independent
-// of scheduling order.
+// Per-sim seeding contract (reproducibility): Rng is a 16-byte value type
+// with NO static or global state — this header defines no globals, never
+// touches ::rand/std::random_device, and every draw mutates only the owning
+// object.  Each simulation owns its Rngs (seeded from its config seed,
+// decorrelated via the `stream` parameter or fork()), so a run's result
+// depends on its config alone: the same run repeated, in the same process
+// after any other runs or in another process, is byte-identical.  Do not
+// share one Rng object across sims — hand each consumer its own seeded
+// instance instead, which is also what keeps a sim's draws independent of
+// what else draws, and when.
 //
 // Leapfrogging.  PCG32's state is a 64-bit LCG, so n steps compose into one
 // step state -> state * A + C (Brown, "Random number generation with

@@ -10,8 +10,7 @@
 // sample seen, while quantile/CDF queries answer from a uniform reservoir
 // (Vitter's Algorithm R) whose memory never exceeds the capacity.  The
 // reservoir's RNG is embedded and fixed-seeded, so a bounded Sampler is a
-// pure function of its add() sequence — bit-reproducible across runs and
-// across concurrently running simulations.
+// pure function of its add() sequence — bit-reproducible across runs.
 
 #pragma once
 
@@ -169,8 +168,8 @@ class Sampler {
 
   std::size_t capacity_ = 0;  // 0 = unbounded
   // Fixed seed: reservoir contents depend only on the add() sequence, never
-  // on global state — required for the parallel sweep runner's bit-identical
-  // serial/parallel guarantee.
+  // on global state — required for runs to be bit-identical whatever else
+  // the process ran before them.
   Rng reservoir_rng_{0x5eedc0ffee1234abULL, 0x51};
   std::vector<double> values_;
   mutable std::vector<double> sorted_values_;

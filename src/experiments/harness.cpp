@@ -455,57 +455,36 @@ std::shared_ptr<const core::LatencyEstimator> profile_estimator(
 
 ShardedRunResult run_sharded(const std::vector<const SceneTrace*>& cameras,
                              const MultiStreamConfig& config) {
-  // The single/sharded legs measure the invoker layout alone: strip the
-  // capacity plan, any autoscale policy, AND any rebalance policy so they
-  // keep matching the PR-2 baselines byte-for-byte; only the reserved leg
-  // runs the caller's provisioning config (still without rebalancing).
+  // No leg rebalances.  The single/sharded legs measure the invoker layout
+  // alone: they also drop the capacity plan and any autoscale policy, so
+  // they keep matching the route-once baselines byte-for-byte; only the
+  // reserved leg runs the caller's provisioning config.
   MultiStreamConfig single_config = config;
   single_config.sharding = core::ShardPolicy::single();
   single_config.pool_for_shard = nullptr;
   single_config.platform.autoscale = serverless::AutoscalePolicy{};
   single_config.rebalance = core::RebalancePolicy{};
-  MultiStreamConfig sharded_config = config;
-  sharded_config.sharding = core::ShardPolicy::per_slo_class();
-  sharded_config.pool_for_shard = nullptr;
-  sharded_config.platform.autoscale = serverless::AutoscalePolicy{};
-  sharded_config.rebalance = core::RebalancePolicy{};
-
   // The legs differ only in layout/provisioning, never in the platform
   // resources, canvas, slack, or seed the offline profiling campaign
   // depends on — so profile once and share the estimator by const& instead
   // of rebuilding the identical campaign per leg.
-  std::vector<MultiStreamCell> cells;
-  cells.push_back({cameras, std::move(single_config)});
-  cells.push_back({cameras, std::move(sharded_config)});
+  if (!single_config.profiled_estimator)
+    single_config.profiled_estimator = profile_estimator(single_config);
+  MultiStreamConfig sharded_config = single_config;
+  sharded_config.sharding = core::ShardPolicy::per_slo_class();
+
+  ShardedRunResult result;
+  result.single = run_multistream(cameras, single_config);
+  result.sharded = run_multistream(cameras, sharded_config);
   if (config.pool_for_shard) {
     MultiStreamConfig reserved_config = config;
     reserved_config.sharding = core::ShardPolicy::per_slo_class();
     reserved_config.rebalance = core::RebalancePolicy{};
-    cells.push_back({cameras, std::move(reserved_config)});
-  }
-  if (!config.profiled_estimator) {
-    const auto profile = core::TangramSystem::profile_estimator(
-        system_config_of(cells.front().config));
-    for (MultiStreamCell& cell : cells) cell.config.profiled_estimator = profile;
-  }
-
-  auto legs = run_multistream_cells(cells, config.jobs);
-  ShardedRunResult result;
-  result.single = std::move(legs[0]);
-  result.sharded = std::move(legs[1]);
-  if (config.pool_for_shard) {
-    result.sharded_reserved = std::move(legs[2]);
+    reserved_config.profiled_estimator = single_config.profiled_estimator;
+    result.sharded_reserved = run_multistream(cameras, reserved_config);
     result.has_reserved = true;
   }
   return result;
-}
-
-std::vector<MultiStreamResult> run_multistream_cells(
-    const std::vector<MultiStreamCell>& cells, int jobs) {
-  const ParallelSweepRunner runner(jobs);
-  return runner.map(cells.size(), [&](std::size_t i) {
-    return run_multistream(cells[i].cameras, cells[i].config);
-  });
 }
 
 namespace {

@@ -24,10 +24,9 @@
 // delivery allocates nothing per patch) and fill one MultiStreamResult
 // through one completion callback and one collector.
 //
-// Every runner is an independent deterministic simulation over shared
-// immutable traces, so grids of them parallelize across threads via
-// ParallelSweepRunner (run_multistream_cells, run_sharded with jobs > 1)
-// with bit-identical results to serial execution.
+// Every run is an independent deterministic simulation that only reads its
+// traces, so a sweep is a loop of runs on one thread, and a run repeated in
+// the same process, or in another, gives the same result.
 
 #pragma once
 
@@ -40,7 +39,6 @@
 #include "baselines/strategies.h"
 #include "common/stats.h"
 #include "core/system.h"
-#include "experiments/parallel_runner.h"
 #include "experiments/trace.h"
 #include "serverless/platform.h"
 
@@ -131,10 +129,6 @@ struct MultiStreamConfig : FleetConfig {
   // / canvas / slack / seed configs (see TangramSystem::Config); null =
   // profile during construction.
   std::shared_ptr<const core::LatencyEstimator> profiled_estimator;
-  // Worker threads for multi-leg runners (run_sharded): each leg is an
-  // independent sim, so legs run concurrently with bit-identical results.
-  // 1 = serial (default); 0 = hardware_concurrency.
-  int jobs = 1;
 };
 
 // Ready-made capacity plan for mixed-SLO fleets: shards whose SLO class is
@@ -248,35 +242,20 @@ struct MultiStreamResult {
     const std::vector<const SceneTrace*>& cameras,
     const MultiStreamConfig& config);
 
-// --- parallel sweep grids ---------------------------------------------------
-
-// One cell of a sweep grid: a camera fleet (entries alias traces owned by
-// the caller, which must outlive the run) plus its runner config.
-struct MultiStreamCell {
-  std::vector<const SceneTrace*> cameras;
-  MultiStreamConfig config;
-};
-
 // Run the offline profiling campaign for `config` once, for sharing across
-// every cell whose platform / canvas / slack / seed config is equivalent
+// every run whose platform / canvas / slack / seed config is equivalent
 // (stream counts, SLO classes, sharding, and pool plans may differ) — see
-// TangramSystem::Config::profiled_estimator.  Byte-identical to per-cell
+// TangramSystem::Config::profiled_estimator.  Byte-identical to per-run
 // profiling.
 [[nodiscard]] std::shared_ptr<const core::LatencyEstimator> profile_estimator(
     const MultiStreamConfig& config);
-
-// Run every cell through run_multistream() on a ParallelSweepRunner worker
-// pool (jobs <= 0: hardware_concurrency).  Cells are independent sims over
-// shared immutable traces, so the returned results — ordered by cell index —
-// are bit-identical for every job count (tests/test_parallel_runner.cpp).
-[[nodiscard]] std::vector<MultiStreamResult> run_multistream_cells(
-    const std::vector<MultiStreamCell>& cells, int jobs);
 
 // Serialize every simulation-deterministic field of a result (counters,
 // cost, makespan, sampler statistics and quantiles, per-stream and per-pool
 // telemetry) to a canonical JSON string with full double precision.  Two
 // runs are byte-equal here iff the simulations behaved identically — the
-// comparison key for the serial-vs-parallel determinism guarantee.
+// comparison key of the determinism tests (same-seed repeats, shared vs
+// per-run profiling).
 [[nodiscard]] std::string deterministic_json(const MultiStreamResult& result);
 
 // The 1-vs-K-shards comparison: the same cameras and mixed SLO classes run
@@ -298,8 +277,7 @@ struct ShardedRunResult {
 
 // The legs share one offline profiling campaign (built once, shared by
 // const& — profiling draws from a private model copy, so this is
-// byte-identical to per-leg profiling) and run as independent sims on
-// config.jobs workers (1 = serial; the results never depend on jobs).
+// byte-identical to per-leg profiling) and run one after another.
 [[nodiscard]] ShardedRunResult run_sharded(
     const std::vector<const SceneTrace*>& cameras,
     const MultiStreamConfig& config);

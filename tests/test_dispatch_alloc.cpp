@@ -8,9 +8,10 @@
 //
 // Suite 2 pins byte-identity: recycling batch shells, canvases, and packing
 // scratch must not perturb a single byte of deterministic_json() output.
-// Hashes were captured on the pre-recycling tree (PR 7) for a fleet config
+// Hashes were captured on the pre-recycling tree for a fleet config
 // distinct from test_rebalance's (scene 47, 16 streams, 8 instances,
-// reserved tight pool), at jobs 1 and 8, plus the reservoir-telemetry mode.
+// reserved tight pool), per run_sharded leg, plus the reservoir-telemetry
+// mode.
 //
 // Suite 3 counts what the harness runners spend per patch on top of the
 // system: uplink delivery must not heap-allocate.
@@ -34,11 +35,8 @@
 #include "serverless/platform.h"
 #include "sim/simulator.h"
 
-// Shared probe hook (common/alloc_probe.h): its counter is atomic, which
-// matters here — the golden suite below runs jobs=8 worker pools, so
-// operator new fires from several threads.  gtest's own allocations are
-// excluded by scoping the AllocationProbe around the measured region only
-// (which is single-threaded).
+// Shared probe hook (common/alloc_probe.h).  gtest's own allocations are
+// excluded by scoping the AllocationProbe around the measured region only.
 TANGRAM_DEFINE_ALLOC_PROBE_HOOK();
 
 namespace tangram::core {
@@ -172,21 +170,15 @@ using golden::GoldenFleet;
 
 // The fleet goldens (tests/golden.h) were captured on the pre-recycling
 // tree: recycling batch storage must not move a byte.
-TEST(DispatchAlloc, RecycledBatchPathIsByteIdenticalAcrossJobs) {
-  GoldenFleet g;
-  for (const int jobs : {1, 8}) {
-    g.config.jobs = jobs;
-    const auto legs = experiments::run_sharded(g.fleet, g.config);
-    EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.single)),
-              golden::kFleetSingle)
-        << "jobs=" << jobs;
-    EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.sharded)),
-              golden::kFleetSharded)
-        << "jobs=" << jobs;
-    EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.sharded_reserved)),
-              golden::kFleetReserved)
-        << "jobs=" << jobs;
-  }
+TEST(DispatchAlloc, RecycledBatchPathIsByteIdentical) {
+  const GoldenFleet g;
+  const auto legs = experiments::run_sharded(g.fleet, g.config);
+  EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.single)),
+            golden::kFleetSingle);
+  EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.sharded)),
+            golden::kFleetSharded);
+  EXPECT_EQ(fnv1a(experiments::deterministic_json(legs.sharded_reserved)),
+            golden::kFleetReserved);
 }
 
 TEST(DispatchAlloc, RecycledBatchPathIsByteIdenticalWithReservoirTelemetry) {

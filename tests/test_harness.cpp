@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "experiments/parallel_runner.h"
 #include "golden.h"
 
 namespace tangram::experiments {
@@ -510,6 +511,87 @@ TEST_F(HarnessTest, RunShardedAddsReservedLegWhenPoolsAreWired) {
       reserved.sharded_reserved.class_completions_misses(0.4);
   EXPECT_EQ(reserved_tight.first, sharded_tight.first);
   EXPECT_LE(reserved_tight.second, sharded_tight.second);
+}
+
+// --- determinism -------------------------------------------------------------
+
+// Every run owns all of its mutable state (simulator, Rngs, scheduler,
+// platform, telemetry) and only reads its traces, so its deterministic_json()
+// depends on its inputs alone, not on what the process ran before it.
+class DeterminismTest : public HarnessTest {
+ protected:
+  // A mixed-SLO grid: stream counts x shard layouts, some configs with
+  // bounded telemetry reservoirs and a capacity plan.  Each config runs one
+  // camera per entry of its per_stream_slo.
+  static std::vector<MultiStreamConfig> mixed_grid() {
+    std::vector<MultiStreamConfig> grid;
+    for (const std::size_t n : {2u, 4u, 8u}) {
+      for (const int layout : {0, 1, 2}) {
+        MultiStreamConfig& config = grid.emplace_back();
+        for (std::size_t i = 0; i < n; ++i)
+          config.per_stream_slo.push_back(i % 3 == 0 ? 0.25 : 2.0);
+        if (layout == 0) {
+          config.sharding = core::ShardPolicy::single();
+        } else if (layout == 1) {
+          config.sharding = core::ShardPolicy::per_slo_class();
+          config.pool_for_shard = reserved_tight_pool_plan(0.5, 2, 6);
+          config.platform.max_instances = 8;
+        } else {
+          config.sharding = core::ShardPolicy::hashed(2);
+          config.telemetry_reservoir = 64;
+        }
+      }
+    }
+    return grid;
+  }
+
+  static std::string json_of(const MultiStreamConfig& config) {
+    const std::vector<const SceneTrace*> cameras(config.per_stream_slo.size(),
+                                                 trace_);
+    return deterministic_json(run_multistream(cameras, config));
+  }
+};
+
+TEST_F(DeterminismTest, SharedProfilingMatchesPerCellProfiling) {
+  const auto grid = mixed_grid();
+  const auto profile = profile_estimator(grid.front());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    MultiStreamConfig shared = grid[i];
+    shared.profiled_estimator = profile;
+    EXPECT_EQ(json_of(grid[i]), json_of(shared)) << "cell " << i;
+  }
+}
+
+TEST_F(DeterminismTest, SameSeedRunsRepeatInOneProcess) {
+  // A run leaves nothing behind that the next one reads: no static or
+  // global state anywhere in the sim / RNG / scheduler stack.
+  MultiStreamConfig config;
+  config.per_stream_slo = {0.25, 2.0, 2.0, 0.25};
+  const std::string first = json_of(config);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(json_of(config), first);
+}
+
+TEST_F(DeterminismTest, ReservoirBoundsPerStreamTelemetry) {
+  std::vector<const SceneTrace*> cameras(4, trace_);
+  MultiStreamConfig config;
+  config.telemetry_reservoir = 16;
+  const auto result = run_multistream(cameras, config);
+  ASSERT_FALSE(result.streams.empty());
+  for (const auto& stream : result.streams) {
+    EXPECT_LE(stream.e2e_latency.values().size(), 16u);
+    EXPECT_LE(stream.queue_to_invoke.values().size(), 16u);
+    // count() still reports every sample seen, not the retained subset.
+    EXPECT_EQ(stream.e2e_latency.count(), stream.patches_completed);
+  }
+  EXPECT_LE(result.cold_start_setup.values().size(), 16u);
+  EXPECT_LE(result.batch_canvases.values().size(), 16u);
+}
+
+TEST(PeakRss, ProbeReportsPositiveHighWaterMark) {
+  // /proc/self/status is always present on Linux; VmHWM of a running
+  // process is strictly positive.
+  EXPECT_GT(peak_rss_kb(), 0);
 }
 
 TEST(HarnessNames, StrategyNamesAreStable) {

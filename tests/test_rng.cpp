@@ -133,9 +133,7 @@ TEST(Rng, ForkProducesIndependentStream) {
 TEST(Rng, ConcurrentSameSeedStreamsIdentical) {
   // Rng is a 16-byte value type with no static or global state, so two
   // identically-seeded generators advanced on racing threads must emit the
-  // same sequence — the property that lets ParallelSweepRunner run
-  // same-seed sims concurrently with bit-identical results.  Run under
-  // ThreadSanitizer in CI (any hidden shared state would race here).
+  // same sequence: any hidden shared state would make them interfere here.
   constexpr int kDraws = 100000;
   std::vector<std::uint64_t> left(kDraws), right(kDraws);
   const auto fill = [](std::vector<std::uint64_t>& out) {

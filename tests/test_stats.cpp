@@ -140,7 +140,7 @@ TEST(Sampler, ReservoirKeepsExactMoments) {
 TEST(Sampler, ReservoirIsDeterministic) {
   // The replacement RNG is embedded per sampler with a fixed seed, so the
   // retained subset is a pure function of the add() sequence — the property
-  // the serial-vs-parallel sweep guarantee rests on.
+  // run-to-run byte-identity of bounded telemetry rests on.
   Sampler a(32), b(32);
   for (int i = 0; i < 5000; ++i) {
     a.add(static_cast<double>(i % 977));
